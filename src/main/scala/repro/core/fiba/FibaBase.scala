@@ -1,7 +1,6 @@
 package repro.core.fiba
 
 import repro.core.Monoid
-import scala.collection.mutable.ArrayBuffer
 
 /** Shared state and aggregate machinery of the FiBA finger B-tree (§3.2).
   *
@@ -20,7 +19,7 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
   /** Max entries per node = MAX_ARITY - 1. */
   protected val maxEntries: Int = maxArity - 1
 
-  protected var root: FibaNode[V] = new FibaNode[V](isLeaf = true)
+  protected var root: FibaNode[V] = newNode(leaf = true)
   root.agg = monoid.identity
   protected var leftFinger: FibaNode[V]  = root
   protected var rightFinger: FibaNode[V] = root
@@ -32,25 +31,33 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
     */
   private val pool = new java.util.ArrayDeque[FibaNode[V]]()
 
+  private def newNode(leaf: Boolean): FibaNode[V] = new FibaNode[V](leaf, maxArity)
+
+  /** Release `n` and its whole subtree. Child slots already detached
+    * (nulled) by the caller are skipped.
+    */
   protected final def freeNode(n: FibaNode[V]): Unit = {
     n.parent = null
     if (useFreeList) pool.push(n)
     else { // ablation: eager recursive reclamation, O(subtree) like delete
-      var i = 0
-      while (i < n.children.length) { freeNode(n.children(i)); i += 1 }
-      n.reset()
+      if (!n.isLeaf) {
+        var i = 0
+        while (i <= n.n) { val c = n.children(i); if (c != null) freeNode(c); i += 1 }
+      }
+      n.reset(n.isLeaf)
     }
   }
 
   protected final def allocNode(leaf: Boolean): FibaNode[V] = {
     if (useFreeList && !pool.isEmpty) {
       val n = pool.pop()
-      var i = 0
-      while (i < n.children.length) { pool.push(n.children(i)); i += 1 }
-      n.reset()
-      n.isLeaf = leaf
+      if (!n.isLeaf) {
+        var i = 0
+        while (i <= n.n) { val c = n.children(i); if (c != null) pool.push(c); i += 1 }
+      }
+      n.reset(leaf)
       n
-    } else new FibaNode[V](leaf)
+    } else newNode(leaf)
   }
 
   // ---- public window accessors -------------------------------------------
@@ -59,12 +66,15 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
     * entries it discards (the whole point of O(log m)), so no global
     * entry counter is kept — `sizeByTraversal` serves tests/diagnostics.
     */
-  final def isEmpty: Boolean = root.isLeaf && root.times.isEmpty
+  final def isEmpty: Boolean = root.isLeaf && root.n == 0
 
-  final def minTimeOpt: Option[Long] =
-    if (isEmpty) None else Some(leftFinger.times.head)
-  final def maxTimeOpt: Option[Long] =
-    if (isEmpty) None else Some(rightFinger.times.last)
+  /** Oldest timestamp; the window must be nonempty. */
+  final def oldestTime: Long = leftFinger.firstTime
+  /** Youngest timestamp; the window must be nonempty. */
+  final def youngestTime: Long = rightFinger.lastTime
+
+  final def minTimeOpt: Option[Long] = if (isEmpty) None else Some(oldestTime)
+  final def maxTimeOpt: Option[Long] = if (isEmpty) None else Some(youngestTime)
 
   /** Π↙(leftFinger) ⊗ Π̂(root) ⊗ Π↘(rightFinger); Π̂(root) alone for a
     * root leaf. Constant time.
@@ -79,7 +89,7 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
   private final def foldEntries(y: FibaNode[V]): V = {
     var acc = monoid.identity
     var i = 0
-    while (i < y.values.length) { acc = monoid.combine(acc, y.values(i)); i += 1 }
+    while (i < y.n) { acc = monoid.combine(acc, y.value(i)); i += 1 }
     acc
   }
 
@@ -91,8 +101,8 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
     else {
       var acc = y.children(0).agg
       var i = 0
-      while (i < y.values.length) {
-        acc = monoid.combine(acc, y.values(i))
+      while (i < y.n) {
+        acc = monoid.combine(acc, y.value(i))
         acc = monoid.combine(acc, y.children(i + 1).agg)
         i += 1
       }
@@ -103,13 +113,13 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
   /** Π̂(y): y's values and inner children, excluding c0 and c_{a-1}. */
   protected final def innerAgg(y: FibaNode[V]): V = {
     if (y.isLeaf) foldEntries(y)
-    else if (y.values.isEmpty) monoid.identity
+    else if (y.n == 0) monoid.identity
     else {
-      var acc = y.values(0)
+      var acc = y.value(0)
       var i = 1
-      while (i < y.values.length) {
+      while (i < y.n) {
         acc = monoid.combine(acc, y.children(i).agg)
-        acc = monoid.combine(acc, y.values(i))
+        acc = monoid.combine(acc, y.value(i))
         i += 1
       }
       acc
@@ -119,7 +129,7 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
   /** Π↙(y) = Π̂(y) ⊗ Π↑(c_{a-1}) ⊗ (1 if parent is root else Π↙(parent)). */
   protected final def leftAgg(y: FibaNode[V]): V = {
     var acc = innerAgg(y)
-    if (!y.isLeaf) acc = monoid.combine(acc, y.children.last.agg)
+    if (!y.isLeaf) acc = monoid.combine(acc, y.lastChild.agg)
     if (y.parent != null && (y.parent ne root)) acc = monoid.combine(acc, y.parent.agg)
     acc
   }
@@ -127,7 +137,7 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
   /** Π↘(y) = (1 if parent is root else Π↘(parent)) ⊗ Π↑(c0) ⊗ Π̂(y). */
   protected final def rightAgg(y: FibaNode[V]): V = {
     var acc = if (y.parent != null && (y.parent ne root)) y.parent.agg else monoid.identity
-    if (!y.isLeaf) acc = monoid.combine(acc, y.children.head.agg)
+    if (!y.isLeaf) acc = monoid.combine(acc, y.children(0).agg)
     monoid.combine(acc, innerAgg(y))
   }
 
@@ -160,7 +170,7 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
       cur.leftSpine = true
       cur.agg = leftAgg(cur)
       if (cur.isLeaf) { leftFinger = cur; return }
-      cur = cur.children.head
+      cur = cur.children(0)
     }
   }
 
@@ -171,7 +181,7 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
       cur.rightSpine = true
       cur.agg = rightAgg(cur)
       if (cur.isLeaf) { rightFinger = cur; return }
-      cur = cur.children.last
+      cur = cur.lastChild
     }
   }
 
@@ -187,8 +197,8 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
       root.agg = innerAgg(root)
     } else {
       root.agg = innerAgg(root)
-      repairLeftSpineFrom(root.children.head)
-      repairRightSpineFrom(root.children.last)
+      repairLeftSpineFrom(root.children(0))
+      repairRightSpineFrom(root.lastChild)
     }
   }
 
@@ -197,7 +207,7 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
   /** Number of distinct timestamps, by traversal — test/diagnostic use. */
   final def sizeByTraversal: Int = {
     def rec(n: FibaNode[V]): Int =
-      n.entries + n.children.iterator.map(rec).sum
+      if (n.isLeaf) n.n else n.n + n.children.iterator.take(n.n + 1).map(rec).sum
     rec(root)
   }
 
@@ -209,15 +219,15 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
     def rec(n: FibaNode[V]): Unit = {
       if (n.isLeaf) {
         var i = 0
-        while (i < n.entries) { buf += ((n.times(i), n.values(i))); i += 1 }
+        while (i < n.n) { buf += ((n.times(i), n.value(i))); i += 1 }
       } else {
         var i = 0
-        while (i < n.entries) {
+        while (i < n.n) {
           rec(n.children(i))
-          buf += ((n.times(i), n.values(i)))
+          buf += ((n.times(i), n.value(i)))
           i += 1
         }
-        rec(n.children.last)
+        rec(n.lastChild)
       }
     }
     rec(root)
@@ -240,8 +250,8 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
       else {
         var acc = refUp(n.children(0))
         var i = 0
-        while (i < n.values.length) {
-          acc = monoid.combine(acc, n.values(i))
+        while (i < n.n) {
+          acc = monoid.combine(acc, n.value(i))
           acc = monoid.combine(acc, refUp(n.children(i + 1)))
           i += 1
         }
@@ -249,35 +259,49 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
       }
     def refInner(n: FibaNode[V]): V =
       if (n.isLeaf) foldEntries(n)
-      else if (n.values.isEmpty) monoid.identity
+      else if (n.n == 0) monoid.identity
       else {
-        var acc = n.values(0)
+        var acc = n.value(0)
         var i = 1
-        while (i < n.values.length) {
+        while (i < n.n) {
           acc = monoid.combine(acc, refUp(n.children(i)))
-          acc = monoid.combine(acc, n.values(i))
+          acc = monoid.combine(acc, n.value(i))
           i += 1
         }
         acc
       }
     def refLeft(n: FibaNode[V]): V = {
       var acc = refInner(n)
-      if (!n.isLeaf) acc = monoid.combine(acc, refUp(n.children.last))
+      if (!n.isLeaf) acc = monoid.combine(acc, refUp(n.lastChild))
       if (n.parent != null && (n.parent ne root)) acc = monoid.combine(acc, refLeft(n.parent))
       acc
     }
     def refRight(n: FibaNode[V]): V = {
       var acc = if (n.parent != null && (n.parent ne root)) refRight(n.parent) else monoid.identity
-      if (!n.isLeaf) acc = monoid.combine(acc, refUp(n.children.head))
+      if (!n.isLeaf) acc = monoid.combine(acc, refUp(n.children(0)))
       monoid.combine(acc, refInner(n))
     }
 
     var leafDepth = -1
     def rec(n: FibaNode[V], depth: Int, lo: Option[Long], hi: Option[Long],
             onLeft: Boolean, onRight: Boolean): Unit = {
+      // flat layout: fixed capacities, nothing pinned past the count
+      if (n.times.length != maxArity || n.values.length != maxArity)
+        fail(s"entry arrays of capacity ${n.times.length}/${n.values.length}, not $maxArity, in $n")
+      var i = n.n
+      while (i < maxArity) { if (n.values(i) != null) fail(s"value slot $i past the count is set in $n"); i += 1 }
+      if (!n.isLeaf) {
+        if (n.children.length != maxArity + 1)
+          fail(s"children array of capacity ${n.children.length}, not ${maxArity + 1}, in $n")
+        i = 0
+        while (i <= maxArity) {
+          if ((n.children(i) == null) != (i > n.n)) fail(s"child slot $i disagrees with entry count ${n.n} in $n")
+          i += 1
+        }
+      }
       // order within node and against subtree bounds
-      var i = 0
-      while (i < n.times.length) {
+      i = 0
+      while (i < n.n) {
         if (i > 0 && n.times(i - 1) >= n.times(i)) fail(s"unordered entries in $n")
         lo.foreach(b => if (n.times(i) <= b) fail(s"entry ${n.times(i)} <= lower bound $b in $n"))
         hi.foreach(b => if (n.times(i) >= b) fail(s"entry ${n.times(i)} >= upper bound $b in $n"))
@@ -286,12 +310,10 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
       // arity
       if (n eq root) {
         if (!n.isLeaf && (n.arity < 2 || n.arity > maxArity)) fail(s"root arity ${n.arity}")
-        if (n.isLeaf && n.entries > maxEntries) fail(s"root leaf entries ${n.entries}")
+        if (n.isLeaf && n.n > maxEntries) fail(s"root leaf entries ${n.n}")
       } else {
         if (n.arity < minArity || n.arity > maxArity) fail(s"arity ${n.arity} in $n")
       }
-      if (!n.isLeaf && n.children.length != n.entries + 1)
-        fail(s"children ${n.children.length} != entries+1 in $n")
       // flags
       if ((n eq root) && (n.leftSpine || n.rightSpine)) fail(s"root carries spine flag: $n")
       if ((n ne root) && n.leftSpine != onLeft) fail(s"leftSpine flag wrong in $n (expect $onLeft)")
@@ -310,23 +332,23 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
       if (n.agg != expected) fail(s"agg mismatch in $n: stored=${n.agg} expected=$expected")
       // children
       i = 0
-      while (i < n.children.length) {
+      while (!n.isLeaf && i <= n.n) {
         val c = n.children(i)
         if (c.parent ne n) fail(s"parent pointer wrong for child $i of $n")
         val childLo = if (i == 0) lo else Some(n.times(i - 1))
-        val childHi = if (i == n.children.length - 1) hi else Some(n.times(i))
+        val childHi = if (i == n.n) hi else Some(n.times(i))
         rec(c, depth + 1,
             childLo, childHi,
             onLeft = (n eq root) && i == 0 || onLeft && i == 0,
-            onRight = (n eq root) && i == n.children.length - 1 || onRight && i == n.children.length - 1)
+            onRight = (n eq root) && i == n.n || onRight && i == n.n)
         i += 1
       }
     }
     rec(root, 0, None, None, onLeft = false, onRight = false)
 
     // fingers
-    var lf = root; while (!lf.isLeaf) lf = lf.children.head
-    var rf = root; while (!rf.isLeaf) rf = rf.children.last
+    var lf = root; while (!lf.isLeaf) lf = lf.children(0)
+    var rf = root; while (!rf.isLeaf) rf = rf.lastChild
     if (leftFinger ne lf) fail("left finger off")
     if (rightFinger ne rf) fail("right finger off")
     if (root.parent != null) fail("root has a parent")
@@ -340,7 +362,7 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
       if (n eq leftFinger) sb.append(" <LF")
       if (n eq rightFinger) sb.append(" <RF")
       sb.append('\n')
-      n.children.foreach(rec(_, indent + 1))
+      if (!n.isLeaf) n.children.iterator.take(n.n + 1).foreach(rec(_, indent + 1))
     }
     rec(root, 0)
     sb.toString

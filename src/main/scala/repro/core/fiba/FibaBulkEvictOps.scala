@@ -1,7 +1,5 @@
 package repro.core.fiba
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Bulk eviction (§4): amortized O(log m), worst-case O(log n).
   *
   * Three steps:
@@ -20,34 +18,32 @@ import scala.collection.mutable.ArrayBuffer
   */
 trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
 
-  // Reusable boundary-search scratch space, cleared at the start of each
-  // bulkEvict call. Between calls it pins at most O(log n) node refs,
-  // which the deferred free list would keep alive anyway.
-  private val scratchNodes     = ArrayBuffer.empty[FibaNode[V]]
-  private val scratchIdxs      = ArrayBuffer.empty[Int]
-  private val scratchNeighbors = ArrayBuffer.empty[FibaNode[V]]
-  private val scratchAncestors = ArrayBuffer.empty[FibaNode[V]]
-  private val scratchAncLevels = ArrayBuffer.empty[Int]
+  // Reusable boundary-search scratch space, one slot per level of the
+  // cut (a tree of 2^63 entries is at most 64 levels high). Between calls
+  // it pins at most O(log n) node refs, which the deferred free list
+  // would keep alive anyway.
+  private val nodes     = new Array[FibaNode[V]](64)
+  private val idxs      = new Array[Int](64)
+  private val neighbors = new Array[FibaNode[V]](64)
+  private val ancestors = new Array[FibaNode[V]](64)
+  private val ancLevels = new Array[Int](64) // index into `nodes`; -1 = s.parent
 
   /** Remove every entry with timestamp <= t. */
   final def bulkEvictNative(t: Long): Unit = {
-    if (isEmpty || t < leftFinger.times.head) return
-    if (t >= rightFinger.times.last) { clearAll(); return }
+    if (isEmpty || t < oldestTime) return
+    if (t >= youngestTime) { clearAll(); return }
 
     // Small-eviction fast paths (§6 spirit): no boundary bookkeeping when
     // the cut stays inside one leaf — the dominant case on real streams.
     if (root.isLeaf) {
-      val idx = root.evictCount(t)
-      root.times.remove(0, idx)
-      root.values.remove(0, idx)
+      root.dropFront(root.evictCount(t))
       root.agg = innerAgg(root)
       return
     }
-    if (t < leftFinger.parent.times.head) {
+    if (t < leftFinger.parent.firstTime) {
       val idx = leftFinger.evictCount(t)
-      if (leftFinger.entries - idx >= minArity - 1) { // no underflow at all
-        leftFinger.times.remove(0, idx)
-        leftFinger.values.remove(0, idx)
+      if (leftFinger.n - idx >= minArity - 1) { // no underflow at all
+        leftFinger.dropFront(idx)
         repairLeftSpineFrom(leftFinger)
         return
       } else { // underflow: at most 2µ-1 single evictions — O(1) bounded
@@ -59,17 +55,11 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
 
     // ---- Step 1a: ascend from the left finger to the boundary top s.
     var s = leftFinger
-    while ((s ne root) && t >= s.parent.times.head) s = s.parent
+    while ((s ne root) && t >= s.parent.firstTime) s = s.parent
 
-    // ---- Step 1b: descend along the cut, collecting boundary triples.
-    // Scratch buffers are reused across calls (§6's alternating-buffer
-    // spirit) — the boundary is O(log m) entries, allocated once.
-    val nodes     = scratchNodes;     nodes.clear()
-    val idxs      = scratchIdxs;      idxs.clear()
-    val neighbors = scratchNeighbors; neighbors.clear()
-    val ancestors = scratchAncestors; ancestors.clear()
-    val ancLevels = scratchAncLevels; ancLevels.clear() // index into `nodes`; -1 = s.parent
-
+    // ---- Step 1b: descend along the cut, collecting boundary triples
+    // into the reused scratch arrays (§6's alternating-buffer spirit).
+    var depth = 0
     var cur = s
     var curNeighbor: FibaNode[V] = if (s eq root) null else s.parent.children(1)
     var curAncestor: FibaNode[V] = if (s eq root) null else s.parent
@@ -77,18 +67,19 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
     var descending = true
     while (descending) {
       val idx = cur.evictCount(t)
-      nodes += cur; idxs += idx
-      neighbors += curNeighbor; ancestors += curAncestor; ancLevels += curAncLevel
+      nodes(depth) = cur; idxs(depth) = idx
+      neighbors(depth) = curNeighbor; ancestors(depth) = curAncestor; ancLevels(depth) = curAncLevel
+      depth += 1
       if (cur.isLeaf) descending = false
       else if (idx >= 1 && cur.times(idx - 1) == t) descending = false // exact hit: child idx survives whole
       else {
-        val lvl = nodes.length - 1
-        if (idx < cur.entries) {
+        val lvl = depth - 1
+        if (idx < cur.n) {
           curNeighbor = cur.children(idx + 1)
           curAncestor = cur
           curAncLevel = lvl
         } else if (curNeighbor != null) {
-          curNeighbor = curNeighbor.children.head
+          curNeighbor = curNeighbor.children(0)
         }
         cur = cur.children(idx)
       }
@@ -102,7 +93,7 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
     var poppedAbove      = false               // a merge popped s.parent
     var rightDirtyTop: FibaNode[V] = null      // a move drained a right-spine neighbor
 
-    var l = nodes.length - 1
+    var l = depth - 1
     var skipLocalEvict = false
     var done = false
     while (!done && l >= 0) {
@@ -110,19 +101,19 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
       val neighbor = neighbors(l)
       if (!skipLocalEvict) {
         val idx = idxs(l)
-        var i = 0
-        while (i < math.min(idx, node.children.length)) { freeNode(node.children(i)); i += 1 }
-        if (!node.isLeaf) node.children.remove(0, idx)
-        node.times.remove(0, idx)
-        node.values.remove(0, idx)
+        if (!node.isLeaf) {
+          var i = 0
+          while (i < idx) { freeNode(node.children(i)); i += 1 }
+        }
+        node.dropFront(idx)
       }
       skipLocalEvict = false
 
       if (node eq root) {
-        if (!root.isLeaf && root.children.length == 1) { // Fig 5: make child root
+        if (!root.isLeaf && root.n == 0) { // Fig 5: make child root
           val old = root
-          root = root.children.head
-          old.children.clear()
+          root = root.children(0)
+          old.children(0) = null
           freeNode(old)
           newRootInstalled = true
         }
@@ -133,14 +124,13 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
         // Nothing survives to the right at any level above (only possible
         // when s is the root): the tree shrinks — Figs 4/5.
         if (!node.isLeaf && node.arity == 1) {
-          root = node.children.head // make child root
-          node.children.clear()
+          root = node.children(0) // make child root
+          node.children(0) = null
           // node stays attached under the dead upper path; freed with it
         } else {
           // make node root: detach it from the dead upper path first
           val p = node.parent
-          val slot = p.children.indexWhere(_ eq node)
-          p.children.remove(slot)
+          p.children(p.childSlot(node)) = null
           root = node
         }
         freeNode(nodes(0)) // the old root and its whole remaining (dead) path
@@ -161,9 +151,7 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
           // and children [0..a] (evicted subtrees + the dead path chain).
           var i = 0
           while (i <= a) { freeNode(ancestor.children(i)); i += 1 }
-          ancestor.children.remove(0, a + 1)
-          ancestor.times.remove(0, a + 1)
-          ancestor.values.remove(0, a + 1)
+          ancestor.dropFront(a + 1)
           val aLvl = ancLevels(l)
           if (aLvl < 0) { poppedAbove = true; done = true }
           else { l = aLvl; skipLocalEvict = true }
@@ -176,14 +164,14 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
       repairFromNewRoot()
     } else if (s eq root) {
       root.agg = innerAgg(root)
-      if (!root.isLeaf) repairLeftSpineFrom(root.children.head)
+      if (!root.isLeaf) repairLeftSpineFrom(root.children(0))
       if (rightDirtyTop != null) repairRightSpineFrom(rightDirtyTop)
     } else {
       val replacedRoot =
         if (poppedAbove) leftRepairCascade(sParent)
         else if (sParent eq root) {
           root.agg = innerAgg(root)
-          repairLeftSpineFrom(root.children.head)
+          repairLeftSpineFrom(root.children(0))
           false
         } else {
           repairLeftSpineFrom(sParent)
@@ -208,8 +196,8 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
     * ancestor.times(i) < neighbor's first time.
     */
   private def separatorIndex(ancestor: FibaNode[V], neighbor: FibaNode[V]): Int = {
-    var a = ancestor.entries - 1
-    while (a >= 0 && ancestor.times(a) >= neighbor.times.head) a -= 1
+    var a = ancestor.n - 1
+    while (a >= 0 && ancestor.times(a) >= neighbor.firstTime) a -= 1
     require(a >= 0, "bulk evict: no separator between node and neighbor")
     a
   }
@@ -222,29 +210,16 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
   protected final def moveBatch(node: FibaNode[V], neighbor: FibaNode[V],
                                 ancestor: FibaNode[V], k: Int): Unit = {
     val a = separatorIndex(ancestor, neighbor)
-    node.times += ancestor.times(a)
-    node.values += ancestor.values(a)
-    if (!node.isLeaf) {
-      val c0 = neighbor.children.head
-      c0.parent = node
-      node.children += c0
-    }
+    val internal = !node.isLeaf
+    node.append(ancestor.times(a), ancestor.values(a), if (internal) neighbor.children(0) else null)
     var i = 0
     while (i < k - 1) {
-      node.times += neighbor.times(i)
-      node.values += neighbor.values(i)
-      if (!node.isLeaf) {
-        val c = neighbor.children(i + 1)
-        c.parent = node
-        node.children += c
-      }
+      node.append(neighbor.times(i), neighbor.values(i), if (internal) neighbor.children(i + 1) else null)
       i += 1
     }
     ancestor.times(a) = neighbor.times(k - 1)
     ancestor.values(a) = neighbor.values(k - 1)
-    neighbor.times.remove(0, k)
-    neighbor.values.remove(0, k)
-    if (!neighbor.isLeaf) neighbor.children.remove(0, k)
+    neighbor.dropFront(k)
   }
 
   /** Fig 19 `mergeNotSibling`: prepend what is left of `node` plus the
@@ -254,16 +229,26 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
   protected final def mergeIntoNeighbor(node: FibaNode[V], neighbor: FibaNode[V],
                                         ancestor: FibaNode[V]): Int = {
     val a = separatorIndex(ancestor, neighbor)
+    val k = node.n     // node's k entries and the separator go in front
+    val m = neighbor.n // of the neighbor's m entries
+    System.arraycopy(neighbor.times, 0, neighbor.times, k + 1, m)
+    System.arraycopy(neighbor.values, 0, neighbor.values, k + 1, m)
+    System.arraycopy(node.times, 0, neighbor.times, 0, k)
+    System.arraycopy(node.values, 0, neighbor.values, 0, k)
+    neighbor.times(k) = ancestor.times(a)
+    neighbor.values(k) = ancestor.values(a)
     if (!node.isLeaf) {
+      System.arraycopy(neighbor.children, 0, neighbor.children, k + 1, m + 1)
       var i = 0
-      while (i < node.children.length) { node.children(i).parent = neighbor; i += 1 }
-      neighbor.children.insertAll(0, node.children)
+      while (i <= k) {
+        val c = node.children(i)
+        c.parent = neighbor
+        neighbor.children(i) = c
+        i += 1
+      }
     }
-    neighbor.times.insert(0, ancestor.times(a))
-    neighbor.values.insert(0, ancestor.values(a))
-    neighbor.times.insertAll(0, node.times)
-    neighbor.values.insertAll(0, node.values)
-    node.times.clear(); node.values.clear(); node.children.clear()
+    neighbor.n = k + 1 + m
+    node.clear()
     a
   }
 }

@@ -1,6 +1,49 @@
 package repro.core.fiba
 
-import scala.collection.mutable.ArrayBuffer
+/** Pending events of one level of bulk insertion's pass up, as parallel
+  * arrays reused across levels and calls. Event i targets `target(i)`
+  * at height `level(i)` above the leaves (0 = leaf); recompute-only
+  * events ride along until their level is reached. An insertion event's
+  * `child` (if non-null) splices in immediately right of its entry.
+  */
+private[fiba] final class Treelets[V] {
+  var target    = new Array[FibaNode[V]](16)
+  var time      = new Array[Long](16)
+  var value     = new Array[AnyRef](16)
+  var child     = new Array[FibaNode[V]](16)
+  var level     = new Array[Int](16)
+  var recompute = new Array[Boolean](16)
+  var size = 0
+
+  def add(tg: FibaNode[V], t: Long, v: AnyRef, c: FibaNode[V], lvl: Int, rc: Boolean): Unit = {
+    if (size == time.length) grow()
+    target(size) = tg; time(size) = t; value(size) = v
+    child(size) = c; level(size) = lvl; recompute(size) = rc
+    size += 1
+  }
+
+  /** Copy event j of `from` to the end of this buffer. */
+  def addFrom(from: Treelets[V], j: Int): Unit =
+    add(from.target(j), from.time(j), from.value(j), from.child(j), from.level(j), from.recompute(j))
+
+  /** Empty the buffer, dropping its references. */
+  def clear(): Unit = {
+    FibaNode.nullOut(target, 0, size)
+    FibaNode.nullOut(value, 0, size)
+    FibaNode.nullOut(child, 0, size)
+    size = 0
+  }
+
+  private def grow(): Unit = {
+    val cap = 2 * time.length
+    target = java.util.Arrays.copyOf(target.asInstanceOf[Array[AnyRef]], cap).asInstanceOf[Array[FibaNode[V]]]
+    time = java.util.Arrays.copyOf(time, cap)
+    value = java.util.Arrays.copyOf(value, cap)
+    child = java.util.Arrays.copyOf(child.asInstanceOf[Array[AnyRef]], cap).asInstanceOf[Array[FibaNode[V]]]
+    level = java.util.Arrays.copyOf(level, cap)
+    recompute = java.util.Arrays.copyOf(recompute, cap)
+  }
+}
 
 /** Bulk insertion (§5): amortized O(log d + m(1 + log(d/m))).
   *
@@ -19,63 +62,92 @@ import scala.collection.mutable.ArrayBuffer
   *  3. *pass down* the touched spines, repairing Π↙/Π↘ and flags; the
   *     highest spine node touched per side starts the walk, so in-order
   *     bulks never pay more than the treelet height.
+  *
+  * Nothing is allocated per entry: the bulk is unpacked once into reused
+  * arrays, treelets live in two reused [[Treelets]] buffers (this level's
+  * and the next), and each interleave merges into one scratch area that
+  * grows to the largest merge seen; `bulkSplit` cuts its pieces straight
+  * out of it into fixed-size nodes.
   */
 trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
 
-  /** One pending event for the pass up. `child` (if non-null) splices in
-    * immediately right of the inserted entry. `targetLevel` is the height
-    * of `target` above the leaves (0 = leaf); recompute-only events ride
-    * along until their level is reached.
-    */
-  private final class Treelet(
-      val target: FibaNode[V],
-      val time: Long,
-      val value: V,
-      val child: FibaNode[V],
-      val targetLevel: Int,
-      val isRecompute: Boolean,
-  )
+  // the bulk, unpacked
+  private var inT = new Array[Long](16)
+  private var inV = new Array[AnyRef](16)
+  // treelets of the level being processed and of the next one
+  private var cur = new Treelets[V]
+  private var nxt = new Treelets[V]
+  // interleave scratch: entry i at scrT/scrV(i), child left of it at scrC(i)
+  private var scrT = new Array[Long](16)
+  private var scrV = new Array[AnyRef](16)
+  private var scrC = new Array[FibaNode[V]](17)
 
   /** Insert a timestamp-ordered bulk (strictly increasing within the
-    * bulk); values colliding with existing timestamps are combined.
+    * bulk); values colliding with existing timestamps are combined. The
+    * whole bulk's order is checked before the window changes.
     */
   final def bulkInsertNative(entries: IndexedSeq[(Long, V)]): Unit = {
-    if (entries.isEmpty) return
-    if (entries.length == 1) { // "small insertion" (§6): no treelet machinery
-      insertOne(entries(0)._1, entries(0)._2)
+    val m = entries.length
+    if (m == 0) return
+    if (m == 1) { // "small insertion" (§6): no treelet machinery
+      val (t, v) = entries(0)
+      insertOne(t, v)
       return
     }
+    if (inT.length < m) {
+      val cap = math.max(m, 2 * inT.length)
+      inT = new Array[Long](cap); inV = new Array[AnyRef](cap)
+    }
+    var i = 0
+    while (i < m) {
+      val e = entries(i)
+      val t = e._1
+      require(i == 0 || t > inT(i - 1), "bulk must be strictly increasing in time")
+      inT(i) = t; inV(i) = e._2.asInstanceOf[AnyRef]
+      i += 1
+    }
+    try insertSorted(m)
+    finally { // drop references; also resets the buffers if a check threw
+      FibaNode.nullOut(inV, 0, m)
+      cur.clear(); nxt.clear()
+    }
+  }
+
+  /** Insert the first `m` (≥ 2) unpacked entries `inT`/`inV`. */
+  private def insertSorted(m: Int): Unit = {
     if (isEmpty) { // empty window: plain appends, d = 0
       var i = 0
-      while (i < entries.length) { insertOne(entries(i)._1, entries(i)._2); i += 1 }
+      while (i < m) { insertOne(inT(i), inV(i).asInstanceOf[V]); i += 1 }
       return
     }
 
     // ---- Step 1: insertion-sites search (successor-style LCA hopping).
-    var current = new ArrayBuffer[Treelet](entries.length)
     var prevSite: FibaNode[V] = null
+    var prevLevel = 0
     var i = 0
-    while (i < entries.length) {
-      val (t, v) = entries(i)
-      require(i == 0 || t > entries(i - 1)._1, "bulk must be strictly increasing in time")
+    while (i < m) {
+      val t = inT(i)
+      val v = inV(i)
       // Appends (the common in-order case) go straight through the right
       // finger in O(1); other entries hop to the LCA of consecutive sites.
-      var cur: FibaNode[V] =
-        if (prevSite == null || t > rightFinger.times.last) fingerSearchTop(t)
-        else ascendToCover(prevSite, t)
+      var node =
+        if (prevSite == null || t > youngestTime) fingerSearchTop(t)
+        else ascendToCover(prevSite, prevLevel, t)
+      var level = searchTopLevel
       var placed = false
       while (!placed) {
-        val idx = cur.lowerBound(t)
-        if (idx < cur.entries && cur.times(idx) == t) {
-          cur.values(idx) = monoid.combine(cur.values(idx), v) // combine now
-          current += new Treelet(cur, t, v, null, levelOf(cur), isRecompute = true)
+        val idx = node.lowerBound(t)
+        if (idx < node.n && node.times(idx) == t) {
+          node.setValue(idx, monoid.combine(node.value(idx), v.asInstanceOf[V])) // combine now
+          cur.add(node, t, null, null, level, rc = true)
           placed = true
-        } else if (cur.isLeaf) {
-          current += new Treelet(cur, t, v, null, 0, isRecompute = false)
+        } else if (node.isLeaf) {
+          cur.add(node, t, v, null, 0, rc = false)
           placed = true
-        } else cur = cur.children(idx)
+        } else { node = node.children(idx); level -= 1 }
       }
-      prevSite = cur
+      prevSite = node
+      prevLevel = level
       i += 1
     }
 
@@ -87,33 +159,32 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
     var rootDirty = false
     val rootAtStart = root
     var level = 0
-    while (current.nonEmpty) {
-      val next = new ArrayBuffer[Treelet](math.max(4, current.length / minArity))
+    while (cur.size > 0) {
       var j = 0
-      while (j < current.length) {
-        val head = current(j)
-        if (head.targetLevel > level) { // ride along to its own level
-          next += head
+      while (j < cur.size) {
+        if (cur.level(j) > level) { // ride along to its own level
+          nxt.addFrom(cur, j)
           j += 1
         } else {
-          val target = head.target
+          val target = cur.target(j)
           var k = j
           var hasInsert = false
-          while (k < current.length && (current(k).target eq target) &&
-                 current(k).targetLevel <= level) {
-            if (!current(k).isRecompute) hasInsert = true
+          while (k < cur.size && (cur.target(k) eq target) && cur.level(k) <= level) {
+            if (!cur.recompute(k)) hasInsert = true
             k += 1
           }
           var lastPiece: FibaNode[V] = null
           if (hasInsert) {
-            interleave(target, current, j, k)
-            if (target.entries > maxEntries) {
-              lastPiece = bulkSplitAndPromote(target, next, level)
-            } else {
-              markOrPropagate(target, head.time, next, level)
+            val total = interleave(target, j, k)
+            if (total > maxEntries) lastPiece = bulkSplitAndPromote(target, total, level)
+            else {
+              target.load(scrT, scrV, scrC, 0, total)
+              markOrPropagate(target, cur.time(j), level)
             }
+            FibaNode.nullOut(scrV, 0, total)
+            if (!target.isLeaf) FibaNode.nullOut(scrC, 0, total + 1)
           } else {
-            markOrPropagate(target, head.time, next, level)
+            markOrPropagate(target, cur.time(j), level)
           }
           // spine bookkeeping: later (higher) levels overwrite, so each
           // marker ends at the highest touched node of its kind
@@ -124,7 +195,8 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
           j = k
         }
       }
-      current = next
+      cur.clear()
+      val swap = cur; cur = nxt; nxt = swap
       level += 1
     }
 
@@ -132,8 +204,8 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
     // all lower markers: both spines hang freshly off the new root.
     if (root ne rootAtStart) {
       rootDirty = true
-      dirtyLeftTop = root.children.head
-      dirtyRightTop = root.children.last
+      dirtyLeftTop = root.children(0)
+      dirtyRightTop = root.lastChild
     }
     if (rootDirty) root.agg = innerAgg(root)
     if (dirtyLeftTop != null) repairLeftSpineFrom(dirtyLeftTop)
@@ -145,91 +217,86 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
     * parent; spine/root nodes stop the upward propagation (their repair
     * happens in the pass down / root recompute via the dirty markers).
     */
-  private def markOrPropagate(target: FibaNode[V], time: Long,
-                              next: ArrayBuffer[Treelet], level: Int): Unit = {
+  private def markOrPropagate(target: FibaNode[V], time: Long, level: Int): Unit = {
     if ((target ne root) && !target.leftSpine && !target.rightSpine) {
       target.agg = upAgg(target)
-      next += new Treelet(target.parent, time, monoid.identity, null, level + 1, isRecompute = true)
+      nxt.add(target.parent, time, null, null, level + 1, rc = true)
     }
   }
 
-  /** Height of `n` above the leaf level. O(height). */
-  private def levelOf(n: FibaNode[V]): Int = {
-    var l = 0
-    var cur = n
-    while (!cur.isLeaf) { l += 1; cur = cur.children.head }
-    l
-  }
-
-  /** Climb from `from` to the lowest node whose subtree covers `t`
-    * (successor search: only up to the LCA of consecutive sites).
+  /** Climb from `from` (at height `fromLevel`) to the lowest node whose
+    * subtree covers `t` (successor search: only up to the LCA of
+    * consecutive sites). Records the node's height in `searchTopLevel`.
     */
-  private def ascendToCover(from: FibaNode[V], t: Long): FibaNode[V] = {
-    var cur = from
-    while (cur ne root) {
-      val p = cur.parent
-      val slot = p.children.indexWhere(_ eq cur)
-      if (slot < p.entries && t <= p.times(slot)) {
-        // covered: the boundary entry itself lives in p
-        return if (t == p.times(slot)) p else cur
-      }
-      cur = p
+  private def ascendToCover(from: FibaNode[V], fromLevel: Int, t: Long): FibaNode[V] = {
+    var node = from
+    var level = fromLevel
+    var covered = false
+    while (!covered && (node ne root)) {
+      val p = node.parent
+      val slot = p.childSlot(node)
+      if (slot < p.n && t <= p.times(slot)) {
+        covered = true
+        // the boundary entry itself lives in p
+        if (t == p.times(slot)) { node = p; level += 1 }
+      } else { node = p; level += 1 }
     }
-    root
+    searchTopLevel = level
+    node
   }
 
   // ---- interleave & bulk split ----------------------------------------------
 
-  /** Merge treelets [from, until) of `buf` (time-sorted, targeting
-    * `node`) into the node's entry arrays; recompute treelets in the run
-    * are skipped here (the caller refreshes aggregates). Children carried
-    * by treelets splice in right of their entry. Linear in the combined
-    * length — no sorting.
+  /** Merge treelets [from, until) of `cur` (time-sorted, targeting
+    * `node`) with the node's entries into the scratch area and return
+    * the merged entry count; recompute treelets in the run are skipped
+    * here (the caller refreshes aggregates). Children carried by treelets
+    * land right of their entry. Linear in the combined length — no
+    * sorting. The node itself is left unchanged.
     */
-  private def interleave(node: FibaNode[V], buf: ArrayBuffer[Treelet],
-                         from: Int, until: Int): Unit = {
-    val nT = new ArrayBuffer[Long](node.entries + (until - from))
-    val nV = new ArrayBuffer[V](node.entries + (until - from))
-    val nC = if (node.isLeaf) null else new ArrayBuffer[FibaNode[V]](node.children.length + (until - from))
-    if (nC != null) nC += node.children.head
+  private def interleave(node: FibaNode[V], from: Int, until: Int): Int = {
+    val need = node.n + (until - from)
+    if (scrT.length < need) {
+      val cap = math.max(need, 2 * scrT.length)
+      scrT = new Array[Long](cap); scrV = new Array[AnyRef](cap); scrC = new Array[FibaNode[V]](cap + 1)
+    }
+    val leaf = node.isLeaf
+    if (!leaf) scrC(0) = node.children(0)
+    var out = 0
     var oi = 0    // original entry cursor
     var ti = from // treelet cursor
-    while (oi < node.entries || ti < until) {
-      if (ti < until && buf(ti).isRecompute) ti += 1
-      else if (ti < until &&
-               (oi >= node.entries || buf(ti).time < node.times(oi))) {
-        val tl = buf(ti)
-        nT += tl.time; nV += tl.value
-        if (nC != null) { tl.child.parent = node; nC += tl.child }
-        ti += 1
+    while (oi < node.n || ti < until) {
+      if (ti < until && cur.recompute(ti)) ti += 1
+      else if (ti < until && (oi >= node.n || cur.time(ti) < node.times(oi))) {
+        scrT(out) = cur.time(ti); scrV(out) = cur.value(ti)
+        if (!leaf) scrC(out + 1) = cur.child(ti)
+        out += 1; ti += 1
       } else {
-        if (ti < until && buf(ti).time == node.times(oi))
+        if (ti < until && cur.time(ti) == node.times(oi))
           throw new AssertionError("bulk insert: collision not combined in step 1")
-        nT += node.times(oi); nV += node.values(oi)
-        if (nC != null) nC += node.children(oi + 1)
-        oi += 1
+        scrT(out) = node.times(oi); scrV(out) = node.values(oi)
+        if (!leaf) scrC(out + 1) = node.children(oi + 1)
+        out += 1; oi += 1
       }
     }
-    node.times.clear(); node.times ++= nT
-    node.values.clear(); node.values ++= nV
-    if (nC != null) { node.children.clear(); node.children ++= nC }
+    out
   }
 
-  /** Split an overflowed node (entries > 2µ-1) into arity-(µ+1) pieces
-    * plus a final arity-[µ,2µ] piece (Claim 1), appending the promoted
-    * separators as insertion treelets for the parent (a fresh root is
-    * grown first when `node` is the root). The node keeps the first piece
-    * — preserving identity, left-spine flag, and left finger; the last
-    * piece inherits the right-spine flag and finger. Non-spine pieces get
-    * fresh up aggregates. Returns the last piece.
+  /** Split an overflowed merge (`total` > 2µ-1 entries in the scratch
+    * area, destined for `node`) into arity-(µ+1) pieces plus a final
+    * arity-[µ,2µ] piece (Claim 1), appending the promoted separators as
+    * insertion treelets for the parent (a fresh root is grown first when
+    * `node` is the root). The node keeps the first piece — preserving
+    * identity, left-spine flag, and left finger; the last piece inherits
+    * the right-spine flag and finger. Non-spine pieces get fresh up
+    * aggregates. Returns the last piece.
     */
-  private def bulkSplitAndPromote(node: FibaNode[V], next: ArrayBuffer[Treelet],
-                                  level: Int): FibaNode[V] = {
+  private def bulkSplitAndPromote(node: FibaNode[V], total: Int, level: Int): FibaNode[V] = {
     val mu = minArity
     var grewRoot = false
     if (node eq root) {
       val nr = allocNode(leaf = false)
-      nr.children += node
+      nr.children(0) = node
       node.parent = nr
       root = nr
       node.leftSpine = true
@@ -240,46 +307,22 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
     val wasRightSpine = node.rightSpine
 
     // piece sizes: q pieces of µ entries, one final piece of r entries
-    val total = node.entries
     var r = total
     var q = 0
     while (r > maxEntries) { r -= (mu + 1); q += 1 }
 
-    val allT = node.times.toIndexedSeq
-    val allV = node.values.toIndexedSeq
-    val allC: IndexedSeq[FibaNode[V]] = if (node.isLeaf) IndexedSeq.empty else node.children.toIndexedSeq
-    node.times.clear(); node.values.clear(); node.children.clear()
-
-    var cursor = 0  // entry cursor into allT/allV
-    var cCursor = 0 // child cursor into allC
-    var piece = node
+    node.load(scrT, scrV, scrC, 0, mu)
+    var cursor = mu // scratch index of the next separator
     var last = node
-    var pi = 0
-    while (pi <= q) {
+    var pi = 1
+    while (pi <= q) { // promote a separator, then cut the next piece
+      val np = allocNode(node.isLeaf)
+      nxt.add(parent, scrT(cursor), scrV(cursor), np, level + 1, rc = false)
       val take = if (pi < q) mu else r
-      var e = 0
-      while (e < take) {
-        piece.times += allT(cursor)
-        piece.values += allV(cursor)
-        cursor += 1; e += 1
-      }
-      if (!node.isLeaf) {
-        var c = 0
-        while (c < take + 1) {
-          val ch = allC(cCursor)
-          ch.parent = piece
-          piece.children += ch
-          cCursor += 1; c += 1
-        }
-      }
-      last = piece
+      np.load(scrT, scrV, scrC, cursor + 1, take)
+      cursor += take + 1
+      last = np
       pi += 1
-      if (pi <= q) { // promote a separator and start the next piece
-        val sepT = allT(cursor); val sepV = allV(cursor); cursor += 1
-        val np = allocNode(node.isLeaf)
-        next += new Treelet(parent, sepT, sepV, np, level + 1, isRecompute = false)
-        piece = np
-      }
     }
 
     // spine flags and fingers: the last piece inherits right-spine status
@@ -287,16 +330,16 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
     if (wasRightSpine || grewRoot) {
       node.rightSpine = false
       last.rightSpine = true
-      if (last.isLeaf && (wasRightSpine || grewRoot)) rightFinger = last
+      if (last.isLeaf) rightFinger = last
     }
 
     // Up aggregates for every non-spine piece. Spine pieces (the first on
     // the left spine, the last on the right spine) are repaired by the
     // pass down; their formulas never read a spine child's aggregate.
     if (!node.leftSpine && !node.rightSpine) node.agg = upAgg(node)
-    var nTl = next.length - q
-    while (nTl < next.length) {
-      val pc = next(nTl).child
+    var nTl = nxt.size - q
+    while (nTl < nxt.size) {
+      val pc = nxt.child(nTl)
       if (!pc.leftSpine && !pc.rightSpine) pc.agg = upAgg(pc)
       nTl += 1
     }

@@ -12,22 +12,29 @@ trait FibaSingleOps[V] { self: FibaBase[V] =>
 
   // ---- search --------------------------------------------------------------
 
+  /** Height above the leaves of the node [[fingerSearchTop]] last returned. */
+  protected var searchTopLevel = 0
+
   /** Node whose subtree must contain t, found by finger search: ascend
     * from the closer finger while t falls outside the current subtree.
+    * Records the node's height in `searchTopLevel`.
     */
   protected final def fingerSearchTop(t: Long): FibaNode[V] = {
-    if (root.isLeaf) return root
-    val lo = leftFinger.times.head
-    val hi = rightFinger.times.last
-    if (t - lo >= hi - t) { // nearer the young end: ascend from the right finger
-      var cur = rightFinger
-      while ((cur ne root) && t <= cur.parent.times.last) cur = cur.parent
-      cur
-    } else { // nearer the old end: ascend from the left finger
-      var cur = leftFinger
-      while ((cur ne root) && t >= cur.parent.times.head) cur = cur.parent
-      cur
+    var level = 0
+    var cur = root
+    if (!root.isLeaf) {
+      val lo = leftFinger.firstTime
+      val hi = rightFinger.lastTime
+      if (t - lo >= hi - t) { // nearer the young end: ascend from the right finger
+        cur = rightFinger
+        while ((cur ne root) && t <= cur.parent.lastTime) { cur = cur.parent; level += 1 }
+      } else { // nearer the old end: ascend from the left finger
+        cur = leftFinger
+        while ((cur ne root) && t >= cur.parent.firstTime) { cur = cur.parent; level += 1 }
+      }
     }
+    searchTopLevel = level
+    cur
   }
 
   // ---- split ----------------------------------------------------------------
@@ -43,35 +50,21 @@ trait FibaSingleOps[V] { self: FibaBase[V] =>
     */
   protected final def splitNode(n: FibaNode[V]): FibaNode[V] = {
     val wasRoot = n eq root
-    val mid = n.entries / 2
+    val mid = n.n / 2
     val right = allocNode(n.isLeaf)
-
-    var i = mid + 1
-    while (i < n.entries) { right.times += n.times(i); right.values += n.values(i); i += 1 }
-    if (!n.isLeaf) {
-      i = mid + 1
-      while (i < n.children.length) {
-        val c = n.children(i); c.parent = right; right.children += c; i += 1
-      }
-      n.children.remove(mid + 1, n.children.length - (mid + 1))
-    }
+    right.load(n.times, n.values, n.children, mid + 1, n.n - mid - 1)
     val promoT = n.times(mid)
     val promoV = n.values(mid)
-    n.times.remove(mid, n.times.length - mid)
-    n.values.remove(mid, n.values.length - mid)
+    n.truncate(mid)
 
     if (wasRoot) {
       val nr = allocNode(leaf = false)
-      nr.children += n
+      nr.children(0) = n
       n.parent = nr
       root = nr
     }
     val parent = n.parent
-    val slot = parent.children.indexWhere(_ eq n)
-    parent.times.insert(slot, promoT)
-    parent.values.insert(slot, promoV)
-    parent.children.insert(slot + 1, right)
-    right.parent = parent
+    parent.insertAt(parent.childSlot(n), promoT, promoV, right)
 
     // spine flags / fingers: the right half inherits right-spine status,
     // the left half keeps left-spine status; a freshly grown root makes
@@ -98,21 +91,20 @@ trait FibaSingleOps[V] { self: FibaBase[V] =>
   /** Insert (t, v); combines with the existing value if t is present. */
   final def insertOne(t: Long, v: V): Unit = {
     if (isEmpty) {
-      root.times += t; root.values += v
+      root.append(t, v.asInstanceOf[AnyRef], null)
       root.agg = innerAgg(root)
       return
     }
     var cur = fingerSearchTop(t)
     while (true) {
       val idx = cur.lowerBound(t)
-      if (idx < cur.entries && cur.times(idx) == t) {
-        cur.values(idx) = monoid.combine(cur.values(idx), v)
+      if (idx < cur.n && cur.times(idx) == t) {
+        cur.setValue(idx, monoid.combine(cur.value(idx), v))
         repairUpFrom(cur)
         return
       }
       if (cur.isLeaf) {
-        cur.times.insert(idx, t)
-        cur.values.insert(idx, v)
+        cur.insertAt(idx, t, v.asInstanceOf[AnyRef], null)
         finishInsertAt(cur)
         return
       }
@@ -130,7 +122,7 @@ trait FibaSingleOps[V] { self: FibaBase[V] =>
     var n = touched
     var dirtyLeft  = false
     var dirtyRight = false
-    while (n.entries > maxEntries) {
+    while (n.n > maxEntries) {
       if (n.leftSpine) dirtyLeft = true
       if (n.rightSpine) dirtyRight = true
       val wasRoot = n eq root
@@ -142,8 +134,8 @@ trait FibaSingleOps[V] { self: FibaBase[V] =>
     // spine walk; one that reaches the root (split chain up a whole
     // spine, or root growth) must repair the dirtied spines top-down.
     if ((n eq root) && !root.isLeaf) {
-      if (dirtyLeft) repairLeftSpineFrom(root.children.head)
-      if (dirtyRight) repairRightSpineFrom(root.children.last)
+      if (dirtyLeft) repairLeftSpineFrom(root.children(0))
+      if (dirtyRight) repairRightSpineFrom(root.lastChild)
     }
   }
 
@@ -153,8 +145,7 @@ trait FibaSingleOps[V] { self: FibaBase[V] =>
   final def evictOldest(): Unit = {
     if (isEmpty) return
     val leaf = leftFinger
-    leaf.times.remove(0)
-    leaf.values.remove(0)
+    leaf.dropFront(1)
     if (leaf eq root) { root.agg = innerAgg(root); return }
     leftRepairCascade(leaf)
     ()
@@ -179,15 +170,10 @@ trait FibaSingleOps[V] { self: FibaBase[V] =>
       val sib = p.children(1)
       if (sib.arity > minArity) {
         // rotate one entry (and child) through the parent
-        n.times += p.times(0)
-        n.values += p.values(0)
-        p.times(0) = sib.times.remove(0)
-        p.values(0) = sib.values.remove(0)
-        if (!n.isLeaf) {
-          val c = sib.children.remove(0)
-          c.parent = n
-          n.children += c
-        }
+        n.append(p.times(0), p.values(0), if (n.isLeaf) null else sib.children(0))
+        p.times(0) = sib.times(0)
+        p.values(0) = sib.values(0)
+        sib.dropFront(1)
         // sib is non-spine unless p is a 2-ary root (then sib is the
         // right-spine top and its whole spine chain depends on it).
         if (sib.rightSpine) repairRightSpineFrom(sib)
@@ -196,20 +182,17 @@ trait FibaSingleOps[V] { self: FibaBase[V] =>
         cont = false
       } else {
         // merge sibling into n; n keeps its left-spine identity
-        n.times += p.times.remove(0)
-        n.values += p.values.remove(0)
+        n.append(p.times(0), p.values(0), if (n.isLeaf) null else sib.children(0))
         var i = 0
-        while (i < sib.times.length) { n.times += sib.times(i); n.values += sib.values(i); i += 1 }
-        if (!n.isLeaf) {
-          i = 0
-          while (i < sib.children.length) {
-            val c = sib.children(i); c.parent = n; n.children += c; i += 1
-          }
+        while (i < sib.n) {
+          n.append(sib.times(i), sib.values(i), if (n.isLeaf) null else sib.children(i + 1))
+          i += 1
         }
         // If p was a 2-ary root, sib was the right-spine top: n inherits.
         if (sib.rightSpine) n.rightSpine = true
-        sib.times.clear(); sib.values.clear(); sib.children.clear()
-        p.children.remove(1)
+        sib.clear()
+        p.children(1) = n // drop entry 0 and child 1 (sib): shift n into slot 1
+        p.dropFront(1)
         freeNode(sib)
         top = p
         n = p
@@ -217,15 +200,15 @@ trait FibaSingleOps[V] { self: FibaBase[V] =>
     }
     if (cont && (n eq root) && !root.isLeaf && root.arity == 1) {
       val old = root
-      root = root.children.head
-      old.children.clear()
+      root = root.children(0)
+      old.children(0) = null
       freeNode(old)
       repairFromNewRoot()
       return true
     }
     if (top eq root) {
       root.agg = innerAgg(root)
-      if (!root.isLeaf) repairLeftSpineFrom(root.children.head)
+      if (!root.isLeaf) repairLeftSpineFrom(root.children(0))
     } else repairLeftSpineFrom(top)
     false
   }

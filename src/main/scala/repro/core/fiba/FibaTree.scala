@@ -50,7 +50,10 @@ final class NbFiba[V](minArity: Int, val monoid: Monoid[V]) extends Swag[V] {
   def insert(t: Long, v: V): Unit = tree.insertOne(t, v)
   def evict(): Unit = tree.evictOldest()
   override def snapshot(): Option[IndexedSeq[(Long, V)]] = Some(tree.toEntries)
-  // bulkEvict / bulkInsert: Swag's default single-op loops
+  /** Swag's single-evict loop, reading the tree's primitive oldest time. */
+  override def bulkEvict(t: Long): Unit =
+    while (!tree.isEmpty && tree.oldestTime <= t) tree.evictOldest()
+  // bulkInsert: Swag's default single-insert loop
 
   /** Expose the tree for invariant checks in tests. */
   def underlying: FibaTree[V] = tree

@@ -51,6 +51,22 @@ class FibaEdgeSpec extends AnyFunSuite {
     }
   }
 
+  test("a bulk rejected for its order leaves the window untouched") {
+    val t = filled(4, 50)
+    val before = t.toEntries
+    val q = t.queryAgg()
+    // the first entry collides with an existing timestamp: nothing may be
+    // combined before the order check rejects the bulk
+    intercept[IllegalArgumentException](
+      t.bulkInsertNative(IndexedSeq((10L, Vector(-10L)), (5L, Vector(-5L)))))
+    t.validate()
+    assert(t.toEntries == before)
+    assert(t.queryAgg() == q)
+    t.bulkInsertNative(IndexedSeq((10L, Vector(-10L)), (60L, Vector(60L))))
+    t.validate()
+    assert(t.queryAgg() == (1L to 10L).toVector ++ Vector(-10L) ++ (11L to 50L) ++ Vector(60L))
+  }
+
   test("one giant bulk insert builds a valid multi-level tree") {
     for (minArity <- Seq(2, 8)) {
       val t = new FibaTree[Vector[Long]](minArity, ConcatM)
