@@ -1,36 +1,15 @@
 package repro.bench
 
-import BenchUtil._
-
 /** Figure 7: latency, bulk evict only; n = REPRO_N (paper 2^22),
   * m = 1024, in-order data (d = 0). Paper result: b_fiba4/8 and amta have
   * the best (lowest) latencies; the loop-based algorithms pay O(m).
   */
 class Fig07BulkEvictLatencyBench extends BenchSuite {
-  private val n = benchN
-  private val m = 1024
-  private val rounds = scaled(1000)
-
-  test(s"fig 7: bulk evict latency, n=$n m=$m d=0") {
-    // priming sweep: settle JIT profiles for every cell before timing
-    MonoidCases.forEach { mc =>
-      Algos.all(mc.monoid).foreach(mk => LatencyBench.bulkEvictLatency(mk, mc.lift, 8192, m, 30))
-    }
-    val rows = Vector.newBuilder[Seq[String]]
-    var bFibaMean = Double.NaN
-    var nbFibaMean = Double.NaN
-    MonoidCases.forEach { mc =>
-      for (mk <- Algos.all(mc.monoid)) {
-        val name = mk().name
-        val st = LatencyBench.bulkEvictLatency(mk, mc.lift, n, m, rounds)
-        if (mc.name == "sum" && name == "b_fiba4") bFibaMean = st.p50Ns.toDouble
-        if (mc.name == "sum" && name == "nb_fiba4") nbFibaMean = st.p50Ns.toDouble
-        rows += Seq(mc.name, name, f"${st.meanNs / 1e3}%.2f", f"${st.p50Ns / 1e3}%.2f",
-                    f"${st.p999Ns / 1e3}%.2f", f"${st.maxNs / 1e3}%.2f")
-      }
-    }
-    emit(s"Figure 7: bulk-evict latency (us), n=$n m=$m d=0 rounds=$rounds",
-         Seq("monoid", "algo", "mean", "p50", "p99.9", "max"), rows.result())
+  test("fig 7: bulk evict latency, m=1024 d=0") {
+    val fig = Figures.fig07()
+    emit(fig)
+    val bFibaMean = fig.cells(("sum", "b_fiba4"))
+    val nbFibaMean = fig.cells(("sum", "nb_fiba4"))
     // Paper shape: native bulk evict (O(log m)) beats the eviction loop
     // (O(m)) by orders of magnitude — assert a conservative 3x.
     assert(bFibaMean * 3 < nbFibaMean,

@@ -1,37 +1,16 @@
 package repro.bench
 
-import BenchUtil._
-
 /** Figure 8: latency, bulk insert only, in-order (d = 0), m = 1024.
   * Paper result: with d = 0 every algorithm is O(m) per bulk, and the
   * lean in-order structures (daba_lite, twostacks_lite) have the lowest
   * latency since they pay no out-of-order readiness overhead.
   */
 class Fig08BulkInsertLatencyBench extends BenchSuite {
-  private val n = benchN
-  private val m = 1024
-  private val rounds = scaled(1000)
-
-  test(s"fig 8: in-order bulk insert latency, n=$n m=$m d=0") {
-    // priming sweep: settle JIT profiles for every cell before timing
-    MonoidCases.forEach { mc =>
-      Algos.all(mc.monoid).foreach(mk => LatencyBench.bulkInsertLatency(mk, mc.lift, 8192, m, 30))
-    }
-    val rows = Vector.newBuilder[Seq[String]]
-    var twoStacksMean = Double.NaN
-    var bFibaMean = Double.NaN
-    MonoidCases.forEach { mc =>
-      for (mk <- Algos.all(mc.monoid)) {
-        val name = mk().name
-        val st = LatencyBench.bulkInsertLatency(mk, mc.lift, n, m, rounds)
-        if (mc.name == "sum" && name == "twostacks_lite") twoStacksMean = st.p50Ns.toDouble
-        if (mc.name == "sum" && name == "b_fiba4") bFibaMean = st.p50Ns.toDouble
-        rows += Seq(mc.name, name, f"${st.meanNs / 1e3}%.2f", f"${st.p50Ns / 1e3}%.2f",
-                    f"${st.p999Ns / 1e3}%.2f", f"${st.maxNs / 1e3}%.2f")
-      }
-    }
-    emit(s"Figure 8: in-order bulk-insert latency (us), n=$n m=$m d=0 rounds=$rounds",
-         Seq("monoid", "algo", "mean", "p50", "p99.9", "max"), rows.result())
+  test("fig 8: in-order bulk insert latency, m=1024 d=0") {
+    val fig = Figures.fig08()
+    emit(fig)
+    val twoStacksMean = fig.cells(("sum", "twostacks_lite"))
+    val bFibaMean = fig.cells(("sum", "b_fiba4"))
     // Paper shape: the in-order-only structures win this experiment.
     assert(twoStacksMean < bFibaMean,
       s"expected twostacks_lite median ($twoStacksMean ns) below b_fiba4 ($bFibaMean ns) for in-order bulk insert")

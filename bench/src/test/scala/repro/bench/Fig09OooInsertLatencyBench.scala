@@ -1,38 +1,16 @@
 package repro.bench
 
-import BenchUtil._
-
 /** Figure 9: latency, bulk insert only, out-of-order at d = 1024,
   * m = 1024. The in-order-only algorithms cannot participate. Paper
   * result: b_fiba (O(m log(d/m))) has lower latency than nb_fiba's
   * insert loop (O(m log d)).
   */
 class Fig09OooInsertLatencyBench extends BenchSuite {
-  private val n = benchN
-  private val m = 1024
-  private val d = 1024
-  private val rounds = scaled(500)
-
-  test(s"fig 9: ooo bulk insert latency, n=$n m=$m d=$d") {
-    // priming sweep: settle JIT profiles for every cell before timing
-    MonoidCases.forEach { mc =>
-      Algos.ooo(mc.monoid).foreach(mk => LatencyBench.oooBulkInsertLatency(mk, mc.lift, 8192, 512, 512, 30))
-    }
-    val rows = Vector.newBuilder[Seq[String]]
-    var bFibaMean = Double.NaN
-    var nbFibaMean = Double.NaN
-    MonoidCases.forEach { mc =>
-      for (mk <- Algos.ooo(mc.monoid)) {
-        val name = mk().name
-        val st = LatencyBench.oooBulkInsertLatency(mk, mc.lift, n, m, d, rounds)
-        if (mc.name == "sum" && name == "b_fiba4") bFibaMean = st.p50Ns.toDouble
-        if (mc.name == "sum" && name == "nb_fiba4") nbFibaMean = st.p50Ns.toDouble
-        rows += Seq(mc.name, name, f"${st.meanNs / 1e3}%.2f", f"${st.p50Ns / 1e3}%.2f",
-                    f"${st.p999Ns / 1e3}%.2f", f"${st.maxNs / 1e3}%.2f")
-      }
-    }
-    emit(s"Figure 9: ooo bulk-insert latency (us), n=$n m=$m d=$d rounds=$rounds",
-         Seq("monoid", "algo", "mean", "p50", "p99.9", "max"), rows.result())
+  test("fig 9: ooo bulk insert latency, m=1024 d=1024") {
+    val fig = Figures.fig09()
+    emit(fig)
+    val bFibaMean = fig.cells(("sum", "b_fiba4"))
+    val nbFibaMean = fig.cells(("sum", "nb_fiba4"))
     // Paper shape: native bulk insert beats the single-insert loop ooo.
     assert(bFibaMean < nbFibaMean,
       s"expected b_fiba4 median ($bFibaMean ns) below nb_fiba4 ($nbFibaMean ns) for ooo bulk insert")

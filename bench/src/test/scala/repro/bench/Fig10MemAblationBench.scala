@@ -1,7 +1,5 @@
 package repro.bench
 
-import BenchUtil._
-
 /** Figure 10: memory-management ablation on bulk evict, m = 4096. The
   * paper's axes are allocator (mimalloc vs libc — no JVM equivalent; see
   * DESIGN.md) and the deferred free list (on vs "nofl"). Paper result:
@@ -9,30 +7,11 @@ import BenchUtil._
   * allocator choice made little difference.
   */
 class Fig10MemAblationBench extends BenchSuite {
-  private val n = benchN
-  private val m = 4096
-  private val rounds = scaled(500)
-
-  test(s"fig 10: free-list ablation, bulk evict, n=$n m=$m d=0") {
-    // priming sweep: settle JIT profiles for every cell before timing
-    MonoidCases.forEach { mc =>
-      Algos.memAblation(mc.monoid).foreach(mk => LatencyBench.bulkEvictLatency(mk, mc.lift, 8192, 1024, 30))
-    }
-    val rows = Vector.newBuilder[Seq[String]]
-    var fl4 = Double.NaN
-    var nofl4 = Double.NaN
-    MonoidCases.forEach { mc =>
-      for (mk <- Algos.memAblation(mc.monoid)) {
-        val name = mk().name
-        val st = LatencyBench.bulkEvictLatency(mk, mc.lift, n, m, rounds)
-        if (mc.name == "sum" && name == "b_fiba4") fl4 = st.p50Ns.toDouble
-        if (mc.name == "sum" && name == "b_fiba4_nofl") nofl4 = st.p50Ns.toDouble
-        rows += Seq(mc.name, name, f"${st.meanNs / 1e3}%.2f", f"${st.p50Ns / 1e3}%.2f",
-                    f"${st.p999Ns / 1e3}%.2f", f"${st.maxNs / 1e3}%.2f")
-      }
-    }
-    emit(s"Figure 10: free-list ablation, bulk-evict latency (us), n=$n m=$m rounds=$rounds",
-         Seq("monoid", "algo", "mean", "p50", "p99.9", "max"), rows.result())
+  test("fig 10: free-list ablation, bulk evict, m=4096 d=0") {
+    val fig = Figures.fig10()
+    emit(fig)
+    val fl4 = fig.cells(("sum", "b_fiba4"))
+    val nofl4 = fig.cells(("sum", "b_fiba4_nofl"))
     // Paper shape: deferring reclamation is indispensable for bulk evict.
     assert(fl4 * 2 < nofl4,
       s"expected free-list b_fiba4 ($fl4 ns) to beat nofl ($nofl4 ns) by >2x")

@@ -1,33 +1,16 @@
 package repro.bench
 
-import BenchUtil._
-
 /** Figure 11: throughput, bulk evict + single inserts, varying bulk size
   * m, in-order (d = 0). Paper result: throughput improves with m for
   * every algorithm; twostacks_lite has the best in-order throughput
   * overall; b_fiba and amta benefit most from native bulk eviction.
   */
 class Fig11ThroughputEvictBench extends BenchSuite {
-  private val n = benchN
-  private val ms = Seq(1, 16, 256, 4096)
-
-  test(s"fig 11: throughput, bulk evict only, n=$n, m sweep") {
-    val rows = Vector.newBuilder[Seq[String]]
-    val cells = scala.collection.mutable.Map.empty[(String, Int), Double]
-    MonoidCases.forEach { mc =>
-      if (mc.name != "geomean") { // sum + bloom keep the sweep tractable
-        for (mk <- Algos.all(mc.monoid); m <- ms) {
-          val thr = ThroughputBench.evictOnly(mk, mc.lift, n, m)
-          val name = mk().name
-          if (mc.name == "sum") cells((name, m)) = thr
-          rows += Seq(mc.name, name, m.toString, fmtThroughput(thr))
-        }
-      }
-    }
-    emit(s"Figure 11: throughput, bulk evict + single inserts, n=$n",
-         Seq("monoid", "algo", "m", "throughput"), rows.result())
+  test("fig 11: throughput, bulk evict only, m sweep") {
+    val fig = Figures.fig11()
+    emit(fig)
     // Paper shape: native bulk eviction pays off at large m vs the loop.
-    assert(cells(("b_fiba4", 4096)) > cells(("nb_fiba4", 4096)),
+    assert(fig.cells(("sum", "b_fiba4", 4096)) > fig.cells(("sum", "nb_fiba4", 4096)),
       "expected b_fiba4 to out-throughput nb_fiba4 at m=4096")
   }
 }

@@ -1,33 +1,16 @@
 package repro.bench
 
-import BenchUtil._
-
 /** Figure 12: throughput, bulk evict + bulk insert, varying bulk size m,
   * in-order (d = 0). Paper result: all algorithms improve as m grows to
   * ~2^12 (fewer per-item overheads); with d = 0 bulk insert holds no
   * asymptotic advantage over insert loops.
   */
 class Fig12ThroughputBothBench extends BenchSuite {
-  private val n = benchN
-  private val ms = Seq(1, 16, 256, 4096)
-
-  test(s"fig 12: throughput, bulk evict + bulk insert, n=$n, m sweep") {
-    val rows = Vector.newBuilder[Seq[String]]
-    val cells = scala.collection.mutable.Map.empty[(String, Int), Double]
-    MonoidCases.forEach { mc =>
-      if (mc.name != "geomean") {
-        for (mk <- Algos.all(mc.monoid); m <- ms) {
-          val thr = ThroughputBench.evictAndInsert(mk, mc.lift, n, m)
-          val name = mk().name
-          if (mc.name == "sum") cells((name, m)) = thr
-          rows += Seq(mc.name, name, m.toString, fmtThroughput(thr))
-        }
-      }
-    }
-    emit(s"Figure 12: throughput, bulk evict + bulk insert, n=$n",
-         Seq("monoid", "algo", "m", "throughput"), rows.result())
+  test("fig 12: throughput, bulk evict + bulk insert, m sweep") {
+    val fig = Figures.fig12()
+    emit(fig)
     // Paper shape: larger bulks improve throughput for the bulk algorithm.
-    assert(cells(("b_fiba4", 4096)) > cells(("b_fiba4", 1)),
+    assert(fig.cells(("sum", "b_fiba4", 4096)) > fig.cells(("sum", "b_fiba4", 1)),
       "expected b_fiba4 throughput to improve from m=1 to m=4096")
   }
 }

@@ -1,7 +1,5 @@
 package repro.bench
 
-import BenchUtil._
-
 /** Figure 13: throughput, bulk evict + bulk insert, m = 1024, varying
   * out-of-order distance d. In-order-only algorithms cannot participate.
   * Paper result: since the insertion-site search happens once per bulk,
@@ -9,27 +7,11 @@ import BenchUtil._
   * outperforms nb_fiba across the sweep.
   */
 class Fig13ThroughputVaryDBench extends BenchSuite {
-  private val n = benchN
-  private val m = 1024
-  private val ds = Seq(0, 16, 256, 4096, 16384)
-
-  test(s"fig 13: throughput vs ooo distance, n=$n m=$m") {
-    val rows = Vector.newBuilder[Seq[String]]
-    val cells = scala.collection.mutable.Map.empty[(String, Int), Double]
-    MonoidCases.forEach { mc =>
-      if (mc.name != "geomean") {
-        for (mk <- Algos.ooo(mc.monoid); d <- ds) {
-          val thr = ThroughputBench.oooEvictAndInsert(mk, mc.lift, n, m, d)
-          val name = mk().name
-          if (mc.name == "sum") cells((name, d)) = thr
-          rows += Seq(mc.name, name, d.toString, fmtThroughput(thr))
-        }
-      }
-    }
-    emit(s"Figure 13: throughput, bulk ops at ooo distance d, n=$n m=$m",
-         Seq("monoid", "algo", "d", "throughput"), rows.result())
+  test("fig 13: throughput vs ooo distance, m=1024") {
+    val fig = Figures.fig13()
+    emit(fig)
     // Paper shape: b_fiba beats nb_fiba at large d (shared search + repair).
-    assert(cells(("b_fiba4", 16384)) > cells(("nb_fiba4", 16384)),
+    assert(fig.cells(("sum", "b_fiba4", 16384)) > fig.cells(("sum", "nb_fiba4", 16384)),
       "expected b_fiba4 to out-throughput nb_fiba4 at d=16384")
   }
 }

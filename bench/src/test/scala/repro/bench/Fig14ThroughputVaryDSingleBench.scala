@@ -1,7 +1,5 @@
 package repro.bench
 
-import BenchUtil._
-
 /** Figure 14: throughput with neither bulk evict nor bulk insert (m = 1),
   * varying out-of-order distance d. Paper result: without bulk ops,
   * b_fiba holds no advantage over nb_fiba — they track each other (the
@@ -9,26 +7,11 @@ import BenchUtil._
   * bloom); both degrade as d grows (O(log d) searches).
   */
 class Fig14ThroughputVaryDSingleBench extends BenchSuite {
-  private val n = benchN
-  private val ds = Seq(0, 16, 256, 4096, 16384)
-
-  test(s"fig 14: single-op throughput vs ooo distance, n=$n m=1") {
-    val rows = Vector.newBuilder[Seq[String]]
-    val cells = scala.collection.mutable.Map.empty[(String, Int), Double]
-    MonoidCases.forEach { mc =>
-      if (mc.name != "geomean") {
-        for (mk <- Algos.ooo(mc.monoid); d <- ds) {
-          val thr = ThroughputBench.oooEvictAndInsert(mk, mc.lift, n, 1, d)
-          val name = mk().name
-          if (mc.name == "sum") cells((name, d)) = thr
-          rows += Seq(mc.name, name, d.toString, fmtThroughput(thr))
-        }
-      }
-    }
-    emit(s"Figure 14: throughput, single ops at ooo distance d, n=$n m=1",
-         Seq("monoid", "algo", "d", "throughput"), rows.result())
+  test("fig 14: single-op throughput vs ooo distance, m=1") {
+    val fig = Figures.fig14()
+    emit(fig)
     // Paper shape: with m=1 the two FiBA variants track each other — within 2.5x.
-    val ratio = cells(("b_fiba4", 256)) / cells(("nb_fiba4", 256))
+    val ratio = fig.cells(("sum", "b_fiba4", 256)) / fig.cells(("sum", "nb_fiba4", 256))
     assert(ratio > 0.4 && ratio < 2.5, s"expected b_fiba4/nb_fiba4 ~1 at m=1, got $ratio")
   }
 }

@@ -1,7 +1,5 @@
 package repro.bench
 
-import BenchUtil._
-
 /** Figure 15: histograms of the Citi-Bike run's instantaneous window
   * sizes n, eviction bulk sizes m, and out-of-order distances d for a
   * 1-day time window (synthetic stand-in; see DESIGN.md substitutions).
@@ -10,14 +8,10 @@ import BenchUtil._
   * hundreds of insertions displaced by tens of thousands of records.
   */
 class Fig15CitiBikeHistBench extends BenchSuite {
-  private val events = math.max(50000, (400000 * benchScale).toInt)
-
-  test(s"fig 15: citi-bike-like n/m/d histograms over $events events") {
-    val stream = Workloads.citiBike(events)
-    val trace = Workloads.traceTimeWindow(stream, Workloads.DaySeconds)
-    val rows = CitiBikeBench.histogramRows(trace)
-    emit(s"Figure 15: log2-bucketed histograms (1-day window, $events events)",
-         Seq("bucket", "count(n)", "count(m)", "count(d)"), rows)
+  test("fig 15: citi-bike-like n/m/d histograms") {
+    val fig = Figures.fig15()
+    emit(fig)
+    val trace = fig.cells
 
     // Paper shape assertions (robust, qualitative):
     val ms = trace.ms

@@ -1,47 +1,18 @@
 package repro.bench
 
-import BenchUtil._
-
 /** Figure 16: throughput over the Citi-Bike-like stream (1-day window,
   * single inserts with natural d, watermark-driven bulk evicts with
   * natural m). In-order algorithms cannot participate. Paper result: the
   * bulk operations give b_fiba the advantage over nb_fiba on real data.
-  *
-  * JVM methodology: passes alternate between algorithms and each cell
-  * reports the best of `Reps` passes — single passes are ~0.25 s and JIT
-  * profile pollution across the suite otherwise dominates the comparison.
   */
 class Fig16CitiBikeThroughputBench extends BenchSuite {
-  private val events = math.max(50000, (400000 * benchScale).toInt)
-  private val Reps = 3
-
-  test(s"fig 16: citi-bike throughput over $events events") {
-    val stream = Workloads.citiBike(events)
-    val rows = Vector.newBuilder[Seq[String]]
-    val cells = scala.collection.mutable.Map.empty[String, Double]
-    MonoidCases.forEach { mc =>
-      if (mc.name != "geomean") {
-        val algos = Algos.ooo(mc.monoid)
-        // one warmup pass each, then alternating measured passes
-        algos.foreach(mk => CitiBikeBench.throughput(mk, mc.lift, stream.take(events / 10), Workloads.DaySeconds))
-        val best = scala.collection.mutable.Map.empty[String, Double].withDefaultValue(0.0)
-        for (_ <- 1 to Reps; mk <- algos) {
-          val name = mk().name
-          val thr = CitiBikeBench.throughput(mk, mc.lift, stream, Workloads.DaySeconds)
-          best(name) = math.max(best(name), thr)
-        }
-        for (mk <- algos) {
-          val name = mk().name
-          if (mc.name == "sum") cells(name) = best(name)
-          rows += Seq(mc.name, name, fmtThroughput(best(name)))
-        }
-      }
-    }
-    emit(s"Figure 16: citi-bike-like throughput, 1-day window, $events events (best of $Reps)",
-         Seq("monoid", "algo", "throughput"), rows.result())
+  test("fig 16: citi-bike throughput") {
+    val fig = Figures.fig16()
+    emit(fig)
+    val cells = fig.cells
     // Paper shape: bulk eviction keeps b_fiba at least on par with (and
     // usually ahead of) nb_fiba on real(istic) data; allow JVM noise.
-    assert(cells("b_fiba4") > cells("nb_fiba4") * 0.85,
-      s"expected b_fiba4 (${cells("b_fiba4")}) at least on par with nb_fiba4 (${cells("nb_fiba4")})")
+    assert(cells(("sum", "b_fiba4")) > cells(("sum", "nb_fiba4")) * 0.85,
+      s"expected b_fiba4 (${cells(("sum", "b_fiba4"))}) at least on par with nb_fiba4 (${cells(("sum", "nb_fiba4"))})")
   }
 }

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import BenchUtil._
 
 /** Figure 17: end-to-end streaming throughput, window n = 8192, varying
   * bulk (micro-batch) size m, in-order data. The paper ran FiBA inside
@@ -13,34 +12,15 @@ import BenchUtil._
   * widens the gap; throughput improves with m.
   */
 class Fig17StreamingBench extends BenchSuite with SparkSpec {
-  private val windowLen = 8192L
-  private val ms = Seq(64, 512, 4096)
-
-  test(s"fig 17: streaming throughput, window=$windowLen, m sweep") {
-    val rows = Vector.newBuilder[Seq[String]]
-    val cells = scala.collection.mutable.Map.empty[(String, Int), Double]
-
-    for (m <- ms) {
-      val events = math.max(4L * m, (16L * m * benchScale).toLong)
-      for (algo <- Seq("recompute", "nb_fiba4", "b_fiba4")) {
-        val thr = StreamingBench.runStateful(spark, algo, windowLen, m, events)
-        cells((algo, m)) = thr
-        rows += Seq(s"${algo}_state", m.toString, fmtThroughput(thr))
-      }
-      // Built-in sliding window: coarse 256s slide (handicap in its favor)
-      // and a small event budget — it is orders of magnitude slower.
-      val builtinEvents = math.max(2L * m, 1024L)
-      val thrB = StreamingBench.runBuiltin(spark, windowLen, 256L, m, builtinEvents)
-      cells(("builtin", m)) = thrB
-      rows += Seq("spark_window_builtin", m.toString, fmtThroughput(thrB))
-    }
-    emit(s"Figure 17: Structured Streaming throughput, window=$windowLen (events/s)",
-         Seq("algo", "m", "throughput"), rows.result())
+  test("fig 17: streaming throughput, window=8192, m sweep") {
+    val fig = Figures.fig17(spark)
+    emit(fig)
+    val cells = fig.cells
 
     // Paper shape: FiBA beats the engine's built-in sliding window.
     // Micro-batch scheduling noise can flip a single cell, so compare the
     // geometric-mean ratio across the whole m sweep.
-    val ratios = ms.map(m => cells(("b_fiba4", m)) / cells(("builtin", m)))
+    val ratios = Seq(64, 512, 4096).map(m => cells(("b_fiba4", m)) / cells(("builtin", m)))
     val geomean = math.exp(ratios.map(math.log).sum / ratios.size)
     assert(geomean > 1.1,
       s"expected FiBA stateful operator to out-throughput the built-in sliding window (ratios=$ratios)")

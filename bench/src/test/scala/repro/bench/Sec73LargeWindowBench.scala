@@ -1,7 +1,5 @@
 package repro.bench
 
-import BenchUtil._
-
 /** §7.3 "Window Size One Billion", scaled to the container (see
   * DESIGN.md): b_fiba4 + geomean at n = 2^18 vs n = 2^22. Paper results
   * at 4M->1B: bytes/item flat (64-70 B), throughput within 1-1.12x,
@@ -9,19 +7,10 @@ import BenchUtil._
   * derived quantities at our scale with generous margins.
   */
 class Sec73LargeWindowBench extends BenchSuite {
-  private val small = 1 << 18
-  private val large = 1 << 22
-  private val m = 1024
-  private val rounds = scaled(300)
-
-  test(s"sec 7.3: window scaling $small vs $large (b_fiba4, geomean)") {
-    val a = LargeWindowBench.run(small, m, rounds)
-    val b = LargeWindowBench.run(large, m, rounds)
-    emit("Section 7.3: large-window scaling (b_fiba4, geomean)",
-         Seq("n", "bytes/item", "throughput", "evict mean us", "evict p50 us", "evict p99.9 us", "evict max us"),
-         Seq(a, b).map(r => Seq(r.n.toString, f"${r.bytesPerItem}%.1f",
-           fmtThroughput(r.throughputPerSec), f"${r.evict.meanNs / 1e3}%.2f",
-           f"${r.evict.p50Ns / 1e3}%.2f", f"${r.evict.p999Ns / 1e3}%.2f", f"${r.evict.maxNs / 1e3}%.2f")))
+  test("sec 7.3: window scaling 262144 vs 4194304 (b_fiba4, geomean)") {
+    val fig = Figures.sec73()
+    emit(fig)
+    val Seq(a, b) = fig.cells
 
     // Paper shape: memory per item roughly flat across window sizes.
     assert(b.bytesPerItem < a.bytesPerItem * 3 + 64,

@@ -11,30 +11,37 @@ import repro.core.fiba.{BFiba, NbFiba}
   */
 object Algos {
 
-  /** Factories for the full roster (in-order experiments). */
-  def all[V](m: Monoid[V]): Seq[() => Swag[V]] = Seq(
-    () => new BFiba[V](4, m),
-    () => new BFiba[V](8, m),
-    () => new NbFiba[V](4, m),
-    () => new NbFiba[V](8, m),
-    () => new Amta[V](m),
-    () => new TwoStacksLite[V](m),
-    () => new DeamortizedTwoStacks[V](m),
-  )
+  /** One factory per algorithm, for any monoid. A trait rather than a
+    * method so a figure can take the roster as an argument.
+    */
+  trait Roster { def apply[V](m: Monoid[V]): Seq[() => Swag[V]] }
 
   /** Out-of-order-capable subset (Figs 9, 13, 14, 16). */
-  def ooo[V](m: Monoid[V]): Seq[() => Swag[V]] = Seq(
-    () => new BFiba[V](4, m),
-    () => new BFiba[V](8, m),
-    () => new NbFiba[V](4, m),
-    () => new NbFiba[V](8, m),
-  )
+  val ooo: Roster = new Roster {
+    def apply[V](m: Monoid[V]): Seq[() => Swag[V]] = Seq(
+      () => new BFiba[V](4, m),
+      () => new BFiba[V](8, m),
+      () => new NbFiba[V](4, m),
+      () => new NbFiba[V](8, m),
+    )
+  }
+
+  /** The full roster (in-order experiments). */
+  val all: Roster = new Roster {
+    def apply[V](m: Monoid[V]): Seq[() => Swag[V]] = ooo(m) ++ Seq(
+      () => new Amta[V](m),
+      () => new TwoStacksLite[V](m),
+      () => new DeamortizedTwoStacks[V](m),
+    )
+  }
 
   /** Memory-management ablation variants (Fig 10). */
-  def memAblation[V](m: Monoid[V]): Seq[() => Swag[V]] = Seq(
-    () => new BFiba[V](4, m, useFreeList = true),
-    () => new BFiba[V](4, m, useFreeList = false, nameSuffix = "_nofl"),
-    () => new BFiba[V](8, m, useFreeList = true),
-    () => new BFiba[V](8, m, useFreeList = false, nameSuffix = "_nofl"),
-  )
+  val memAblation: Roster = new Roster {
+    def apply[V](m: Monoid[V]): Seq[() => Swag[V]] = Seq(
+      () => new BFiba[V](4, m, useFreeList = true),
+      () => new BFiba[V](4, m, useFreeList = false),
+      () => new BFiba[V](8, m, useFreeList = true),
+      () => new BFiba[V](8, m, useFreeList = false),
+    )
+  }
 }

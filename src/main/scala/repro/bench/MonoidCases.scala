@@ -22,18 +22,6 @@ object MonoidCases {
       def lift(t: Long): Bloom = Bloom.lift(t) })
   }
 
-  /** Only the sum case — for quick or large-scale runs. */
-  def sumOnly(f: Runner => Unit): Unit =
-    f(new Runner { type V = Double
-      val monoid: Monoid[Double] = SumD
-      def lift(t: Long): Double = (t % 101).toDouble })
-
-  /** Only geomean — §7.3 uses b_fiba4 with geomean. */
-  def geomeanOnly(f: Runner => Unit): Unit =
-    f(new Runner { type V = GeoMean
-      val monoid: Monoid[GeoMean] = GeoMeanM
-      def lift(t: Long): GeoMean = GeoMean.lift(1.0 + (t % 101).toDouble) })
-
   trait Runner {
     type V
     def monoid: Monoid[V]
