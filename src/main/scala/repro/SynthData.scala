@@ -9,7 +9,7 @@ import org.apache.spark.sql.types._
   */
 object SynthData {
 
-  /** Skewed key column — for join-skew / cardinality-estimation papers. */
+  /** Skewed key column: Zipf(alpha) keys in [1, nKeys], so low keys repeat heavily. */
   def zipfKeys(spark: SparkSession, rows: Long, nKeys: Long,
                alpha: Double = 1.1, seed: Long = 3): DataFrame = {
     import spark.implicits._

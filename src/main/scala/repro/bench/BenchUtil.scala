@@ -1,5 +1,7 @@
 package repro.bench
 
+import repro.core.Swag
+
 /** Timing, percentile, and table-formatting helpers shared by all
   * benchmarks (one bench per evaluation figure; see DESIGN.md §4).
   */
@@ -26,6 +28,31 @@ object BenchUtil {
     java.util.Arrays.sort(s)
     def pct(p: Double): Long = s(math.min(s.length - 1, (p * s.length).toInt))
     LatencyStats(s.length, s.map(_.toDouble).sum / s.length, pct(0.50), pct(0.999), s.last)
+  }
+
+  /** A fresh window of `mk` holding the n entries at times step, 2·step,
+    * …, n·step.
+    */
+  def prefill[V](mk: () => Swag[V], lift: Long => V, n: Int, step: Long = 1): Swag[V] = {
+    val algo = mk()
+    var t = 0L
+    while (t < n * step) { t += step; algo.insert(t, lift(t)) }
+    algo
+  }
+
+  /** A reusable bulk of m entries: `fill(first, step)` writes the times
+    * first, first + step, … and their lifted values; `into` inserts it.
+    */
+  final class Bulk[V](m: Int, lift: Long => V) {
+    private val times = new Array[Long](m)
+    private val values = new Array[AnyRef](m).asInstanceOf[Array[V]] // V is erased here
+
+    def fill(first: Long, step: Long): Unit = {
+      var k = 0
+      while (k < m) { val t = first + k * step; times(k) = t; values(k) = lift(t); k += 1 }
+    }
+
+    def into(algo: Swag[V]): Unit = algo.bulkInsert(times, values, 0, m)
   }
 
   /** Prevent dead-code elimination of query results. */

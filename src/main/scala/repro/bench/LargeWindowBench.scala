@@ -24,19 +24,18 @@ object LargeWindowBench {
   def run(n: Int, m: Int, rounds: Int): Row = {
     val lift = (t: Long) => GeoMean.lift(1.0 + (t % 101).toDouble)
     val before = usedHeap()
-    val algo = new BFiba[GeoMean](4, GeoMeanM)
-    var top = 0L
-    while (top < n) { top += 1; algo.insert(top, lift(top)) }
+    val algo = prefill(() => new BFiba[GeoMean](4, GeoMeanM), lift, n)
     val after = usedHeap()
     val bytesPerItem = (after - before).toDouble / n
 
     // throughput of the Fig-11-style loop at this window size
     var items = 0L
     val samples = new Array[Long](rounds)
+    var top = algo.youngestTime
     val t0 = System.nanoTime()
     var r = 0
     while (r < rounds) {
-      samples(r) = timeNs(algo.bulkEvict(algo.minTime.get + m - 1))
+      samples(r) = timeNs(algo.bulkEvict(algo.oldestTime + m - 1))
       var k = 0
       while (k < m) { top += 1; algo.insert(top, lift(top)); k += 1 }
       sink = algo.query()

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.core.{Monoid, Swag}
+import repro.core.Swag
 import BenchUtil._
 
 /** Latency experiments (Figs 7–10): time each bulk operation individually
@@ -8,9 +8,23 @@ import BenchUtil._
   * same statistics as rows). Methodology mirrors §7.1: a warmed window of
   * n entries slides by m per round; only the operation under test is
   * timed. Timestamps are dense integers, so evicting the oldest m means
-  * bulkEvict(minTime + m - 1).
+  * bulkEvict(oldestTime + m - 1).
   */
 object LatencyBench {
+
+  /** max(50, rounds/4) warm-up rounds, then the times that `rounds` more
+    * rounds return (each round times its operation under test).
+    */
+  private def sample(rounds: Int)(round: => Long): LatencyStats = {
+    val samples = new Array[Long](rounds)
+    var i = -math.max(50, rounds / 4)
+    while (i < rounds) {
+      val t = round
+      if (i >= 0) samples(i) = t
+      i += 1
+    }
+    stats(samples)
+  }
 
   /** Fig 7: bulk evict only. Per round: TIMED bulkEvict of the oldest m,
     * untimed m single inserts at the young end, query.
@@ -18,23 +32,15 @@ object LatencyBench {
   def bulkEvictLatency[V](mk: () => Swag[V], lift: Long => V,
                           n: Int, m: Int, rounds: Int): LatencyStats = {
     System.gc() // settle earlier cells' garbage
-    val algo = mk()
-    var top = 0L
-    while (top < n) { top += 1; algo.insert(top, lift(top)) }
-    val samples = new Array[Long](rounds)
-    var r = 0
-    val warmup = math.max(50, rounds / 4)
-    var i = -warmup
-    while (r < rounds) {
-      val cut = algo.minTime.get + m - 1
-      val t = timeNs(algo.bulkEvict(cut))
+    val algo = prefill(mk, lift, n)
+    var top = algo.youngestTime
+    sample(rounds) {
+      val t = timeNs(algo.bulkEvict(algo.oldestTime + m - 1))
       var k = 0
       while (k < m) { top += 1; algo.insert(top, lift(top)); k += 1 }
       sink = algo.query()
-      if (i >= 0) { samples(r) = t; r += 1 }
-      i += 1
+      t
     }
-    stats(samples)
   }
 
   /** Fig 8: bulk insert only, in-order. Per round: untimed bulkEvict of
@@ -43,24 +49,17 @@ object LatencyBench {
   def bulkInsertLatency[V](mk: () => Swag[V], lift: Long => V,
                            n: Int, m: Int, rounds: Int): LatencyStats = {
     System.gc() // settle earlier cells' garbage
-    val algo = mk()
-    var top = 0L
-    while (top < n) { top += 1; algo.insert(top, lift(top)) }
-    val samples = new Array[Long](rounds)
-    var r = 0
-    val warmup = math.max(50, rounds / 4)
-    var i = -warmup
-    while (r < rounds) {
-      algo.bulkEvict(algo.minTime.get + m - 1)
-      val base = top
-      val batch = (1 to m).map { k => val t = base + k; (t, lift(t)) }
+    val algo = prefill(mk, lift, n)
+    var top = algo.youngestTime
+    val batch = new Bulk(m, lift)
+    sample(rounds) {
+      algo.bulkEvict(algo.oldestTime + m - 1)
+      batch.fill(top + 1, 1)
       top += m
-      val t = timeNs(algo.bulkInsert(batch))
+      val t = timeNs(batch.into(algo))
       sink = algo.query()
-      if (i >= 0) { samples(r) = t; r += 1 }
-      i += 1
+      t
     }
-    stats(samples)
   }
 
   /** Fig 9: bulk insert, out-of-order at distance ~d. The in-order stream
@@ -74,27 +73,19 @@ object LatencyBench {
                               n: Int, m: Int, d: Int, rounds: Int): LatencyStats = {
     require(mk().supportsOoo, "ooo latency bench needs an ooo-capable algorithm")
     System.gc() // settle earlier cells' garbage
-    val algo = mk()
-    var top = 0L
-    while (top < 2L * n) { top += 2; algo.insert(top, lift(top)) } // evens
-    val samples = new Array[Long](rounds)
-    var r = 0
-    val warmup = math.max(50, rounds / 4)
-    var i = -warmup
-    while (r < rounds) {
-      algo.bulkEvict(algo.minTime.get + 2 * m - 1)
-      val base = top
-      val evens = (1 to m).map { k => val t = base + 2 * k; (t, lift(t)) }
+    val algo = prefill(mk, lift, n, step = 2) // evens
+    var top = algo.youngestTime
+    val evens = new Bulk(m, lift)
+    val odds = new Bulk(m, lift)
+    sample(rounds) {
+      algo.bulkEvict(algo.oldestTime + 2 * m - 1)
+      evens.fill(top + 2, 2)
       top += 2 * m
-      algo.bulkInsert(evens)
-      // odd bulk: youngest at ~d entries below the new top
-      val lo = top - 2L * (d + m) + 1
-      val odds = (0 until m).map { k => val t = lo + 2 * k; (t, lift(t)) }
-      val t = timeNs(algo.bulkInsert(odds))
+      evens.into(algo)
+      odds.fill(top - 2L * (d + m) + 1, 2) // youngest at ~d entries below the new top
+      val t = timeNs(odds.into(algo))
       sink = algo.query()
-      if (i >= 0) { samples(r) = t; r += 1 }
-      i += 1
+      t
     }
-    stats(samples)
   }
 }

@@ -10,11 +10,16 @@ import BenchUtil._
   */
 object ThroughputBench {
 
+  /** Floor of a measurement window: at smoke scale 0.2 s · REPRO_SCALE
+    * alone is ~10 ms, and cells measured that briefly swing 2–5x.
+    */
+  private val MinWindowNs = 100000000L
+
   /** Run `round` repeatedly (each processing `itemsPerRound` items) until
     * at least `minElapsedNs` and `minRounds` are reached; returns items/s.
     */
   private def measure(itemsPerRound: Int, minRounds: Int, round: () => Unit): Double = {
-    val minElapsedNs = (2e8 * benchScale).toLong.max(1)
+    val minElapsedNs = math.max(MinWindowNs, (2e8 * benchScale).toLong)
     // settle the heap so earlier cells' garbage is not billed to this one
     System.gc()
     // warmup
@@ -46,11 +51,10 @@ object ThroughputBench {
     * oldest m, m single inserts, one query. Counts m items per round.
     */
   def evictOnly[V](mk: () => Swag[V], lift: Long => V, n: Int, m: Int): Double = {
-    val algo = mk()
-    var top = 0L
-    while (top < n) { top += 1; algo.insert(top, lift(top)) }
+    val algo = prefill(mk, lift, n)
+    var top = algo.youngestTime
     measure(m, minRounds = math.max(8, (n / m) / 4), round = () => {
-      algo.bulkEvict(algo.minTime.get + m - 1)
+      algo.bulkEvict(algo.oldestTime + m - 1)
       var k = 0
       while (k < m) { top += 1; algo.insert(top, lift(top)); k += 1 }
       sink = algo.query()
@@ -61,15 +65,14 @@ object ThroughputBench {
     * oldest m, one bulkInsert of m, one query.
     */
   def evictAndInsert[V](mk: () => Swag[V], lift: Long => V, n: Int, m: Int): Double = {
-    val algo = mk()
-    var top = 0L
-    while (top < n) { top += 1; algo.insert(top, lift(top)) }
+    val algo = prefill(mk, lift, n)
+    var top = algo.youngestTime
+    val batch = new Bulk(m, lift)
     measure(m, minRounds = math.max(8, (n / m) / 4), round = () => {
-      algo.bulkEvict(algo.minTime.get + m - 1)
-      val base = top
-      val batch = (1 to m).map { k => val t = base + k; (t, lift(t)) }
+      algo.bulkEvict(algo.oldestTime + m - 1)
+      batch.fill(top + 1, 1)
       top += m
-      algo.bulkInsert(batch)
+      batch.into(algo)
       sink = algo.query()
     })
   }
@@ -82,23 +85,22 @@ object ThroughputBench {
     * Fig 14.
     */
   def oooEvictAndInsert[V](mk: () => Swag[V], lift: Long => V, n: Int, m: Int, d: Int): Double = {
-    val algo = mk()
+    val algo = prefill(mk, lift, n, step = 2)
     require(algo.supportsOoo)
-    var top = 0L
-    while (top < 2L * n) { top += 2; algo.insert(top, lift(top)) }
+    var top = algo.youngestTime
+    val evens = new Bulk(m, lift)
+    val odds = new Bulk(m, lift)
     val useBulk = m > 1
     measure(2 * m, minRounds = math.max(8, (n / m) / 4), round = () => {
-      if (useBulk) algo.bulkEvict(algo.minTime.get + 2 * m - 1)
-      else { algo.evict(); algo.evict() }
-      val base = top
       if (useBulk) {
-        val evens = (1 to m).map { k => val t = base + 2 * k; (t, lift(t)) }
+        algo.bulkEvict(algo.oldestTime + 2 * m - 1)
+        evens.fill(top + 2, 2)
         top += 2 * m
-        algo.bulkInsert(evens)
-        val lo = top - 2L * (d + m) + 1
-        val odds = (0 until m).map { k => val t = lo + 2 * k; (t, lift(t)) }
-        algo.bulkInsert(odds)
+        evens.into(algo)
+        odds.fill(top - 2L * (d + m) + 1, 2)
+        odds.into(algo)
       } else {
+        algo.evict(); algo.evict()
         top += 2
         algo.insert(top, lift(top))
         val t = top - 2L * (d + 1) + 1

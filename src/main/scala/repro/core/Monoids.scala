@@ -1,9 +1,10 @@
 package repro.core
 
 /** Monoid instances covering the paper's cost spectrum (§7): `sum` (fast),
-  * `geomean` (medium), `bloom` (slow) — plus extras used by tests:
-  * `Concat` is non-commutative so ordering bugs in a window algorithm
-  * cannot cancel out, and `Mean`/`ArgMax` demonstrate lifted monoids.
+  * `geomean` (medium), `bloom` (slow); `max`/`min` for the streaming
+  * operator; and two used by tests: `count`, a Long monoid, and `Concat`,
+  * which is non-commutative so ordering bugs in a window algorithm cannot
+  * cancel out.
   */
 object Monoids {
 
@@ -45,26 +46,6 @@ object Monoids {
     val identity: GeoMean = GeoMean(0.0, 0L)
     def combine(x: GeoMean, y: GeoMean): GeoMean = GeoMean(x.logSum + y.logSum, x.n + y.n)
     val name = "geomean"
-  }
-
-  /** Arithmetic mean lifted into a monoid: carry (Σ v, n). */
-  final case class Mean(sum: Double, n: Long) {
-    def result: Double = if (n == 0) 0.0 else sum / n
-  }
-  object MeanM extends Monoid[Mean] {
-    val identity: Mean = Mean(0.0, 0L)
-    def combine(x: Mean, y: Mean): Mean = Mean(x.sum + y.sum, x.n + y.n)
-    val name = "mean"
-  }
-
-  /** argMax lifted into a monoid: keep the (arg, max) pair; ties keep the
-    * earlier (left) argument, which is associative.
-    */
-  final case class ArgMax(arg: Long, max: Double)
-  object ArgMaxM extends Monoid[ArgMax] {
-    val identity: ArgMax = ArgMax(-1L, Double.NegativeInfinity)
-    def combine(x: ArgMax, y: ArgMax): ArgMax = if (y.max > x.max) y else x
-    val name = "argmax"
   }
 
   /** Bloom filter monoid [Bloom 1970] — the paper's "slow" operator: each

@@ -7,8 +7,9 @@ package repro.core
   * the monoid (in window order: existing ⊗ new).
   *
   * `bulkEvict(t)` removes every entry with timestamp ≤ t.
-  * `bulkInsert(entries)` inserts a timestamp-ordered bulk, interleaving
-  * with the current window and combining on collisions.
+  * `bulkInsert(times, values, from, until)` inserts the timestamp-ordered
+  * bulk held in that slice of two parallel arrays, interleaving with the
+  * current window and combining on collisions.
   * The default bulk implementations loop over single operations — that is
   * exactly how the paper's non-bulk baselines (nb_fiba, twostacks, daba,
   * amta-without-bulk-insert) emulate bulks.
@@ -25,11 +26,14 @@ trait Swag[V] {
   /** Number of distinct timestamps currently in the window. */
   def size: Int
 
-  /** Oldest timestamp, if nonempty. */
-  def minTime: Option[Long]
+  /** True if the window holds no entry. */
+  def isEmpty: Boolean
 
-  /** Youngest timestamp, if nonempty. */
-  def maxTime: Option[Long]
+  /** Oldest timestamp; undefined on an empty window. */
+  def oldestTime: Long
+
+  /** Youngest timestamp; undefined on an empty window. */
+  def youngestTime: Long
 
   /** Monoidal combination of all window values in timestamp order. */
   def query(): V
@@ -42,13 +46,35 @@ trait Swag[V] {
 
   /** Remove all entries with timestamp ≤ t. */
   def bulkEvict(t: Long): Unit = {
-    while (minTime.exists(_ <= t)) evict()
+    while (!isEmpty && oldestTime <= t) evict()
   }
 
-  /** Insert a timestamp-ordered bulk (strictly increasing within bulk). */
-  def bulkInsert(entries: IndexedSeq[(Long, V)]): Unit = {
+  /** Insert the bulk `times(i)`, `values(i)` for i in [from, until),
+    * strictly increasing in time. The arrays are only read.
+    */
+  def bulkInsert(times: Array[Long], values: Array[V], from: Int, until: Int): Unit = {
+    var i = from
+    while (i < until) { insert(times(i), values(i)); i += 1 }
+  }
+
+  // the tuple adapter's unpacked bulk, reused across calls
+  private[this] var tupT = Array.emptyLongArray
+  private[this] var tupV = Array.empty[AnyRef]
+
+  /** Insert a timestamp-ordered bulk given as pairs: unpacks it into two
+    * buffers reused across calls and inserts it as one slice.
+    */
+  final def bulkInsert(entries: IndexedSeq[(Long, V)]): Unit = {
+    val m = entries.length
+    if (tupT.length < m) {
+      val cap = math.max(m, 2 * tupT.length) // a first huge bulk (a prefill) gets no slack
+      tupT = new Array[Long](cap); tupV = new Array[AnyRef](cap)
+    }
     var i = 0
-    while (i < entries.length) { insert(entries(i)._1, entries(i)._2); i += 1 }
+    while (i < m) { val e = entries(i); tupT(i) = e._1; tupV(i) = e._2.asInstanceOf[AnyRef]; i += 1 }
+    // every implementation is generic in V, where Array[V] erases to Object
+    try bulkInsert(tupT, tupV.asInstanceOf[Array[V]], 0, m)
+    finally java.util.Arrays.fill(tupV, 0, m, null)
   }
 
   /** Full window contents in timestamp order, if the algorithm can

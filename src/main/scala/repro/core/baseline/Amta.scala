@@ -41,8 +41,9 @@ final class Amta[V](val monoid: Monoid[V]) extends Swag[V] {
   val supportsOoo = false
 
   def size: Int = count
-  def minTime: Option[Long] = forest.headOption.map(_.minT)
-  def maxTime: Option[Long] = forest.lastOption.map(_.maxT)
+  def isEmpty: Boolean = forest.isEmpty
+  def oldestTime: Long = forest.head.minT
+  def youngestTime: Long = forest.last.maxT
 
   def query(): V = {
     var acc = monoid.identity
@@ -52,9 +53,8 @@ final class Amta[V](val monoid: Monoid[V]) extends Swag[V] {
   }
 
   def insert(t: Long, v: V): Unit = {
-    maxTime.foreach { mt =>
-      if (t <= mt) throw new IllegalArgumentException(s"$name is in-order only: t=$t <= max=$mt")
-    }
+    if (!isEmpty && t <= youngestTime)
+      throw new IllegalArgumentException(s"$name is in-order only: t=$t <= max=$youngestTime")
     forest += leaf(t, v)
     count += 1
     // Binary-counter carry: merge equal-rank trees at the right end.
@@ -66,7 +66,7 @@ final class Amta[V](val monoid: Monoid[V]) extends Swag[V] {
     }
   }
 
-  def evict(): Unit = minTime.foreach(bulkEvict)
+  def evict(): Unit = if (!isEmpty) bulkEvict(oldestTime)
 
   override def bulkEvict(t: Long): Unit = {
     // Drop whole trees that are entirely <= t.

@@ -16,8 +16,9 @@ final class BruteForceSwag[V](val monoid: Monoid[V]) extends Swag[V] {
   val supportsOoo = true
 
   def size: Int = times.length
-  def minTime: Option[Long] = times.headOption
-  def maxTime: Option[Long] = times.lastOption
+  def isEmpty: Boolean = times.isEmpty
+  def oldestTime: Long = times(0)
+  def youngestTime: Long = times.last
 
   def query(): V = monoid.combineAll(values)
 
@@ -44,8 +45,5 @@ final class BruteForceSwag[V](val monoid: Monoid[V]) extends Swag[V] {
     times.remove(0, i); values.remove(0, i)
   }
 
-  /** Snapshot of the window contents, oldest first (for test diffing). */
-  def contents: IndexedSeq[(Long, V)] = times.toIndexedSeq.zip(values)
-
-  override def snapshot(): Option[IndexedSeq[(Long, V)]] = Some(contents)
+  override def snapshot(): Option[IndexedSeq[(Long, V)]] = Some(times.toIndexedSeq.zip(values))
 }

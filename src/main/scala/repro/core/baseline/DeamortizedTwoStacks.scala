@@ -45,10 +45,9 @@ final class DeamortizedTwoStacks[V](val monoid: Monoid[V]) extends Swag[V] {
   private def frontLen = frontTimes.length - fstart
 
   def size: Int = frontLen + backTimes.length
-  def minTime: Option[Long] =
-    if (frontLen > 0) Some(frontTimes(fstart)) else backTimes.headOption
-  def maxTime: Option[Long] =
-    backTimes.lastOption.orElse(if (frontLen > 0) Some(frontTimes.last) else None)
+  def isEmpty: Boolean = size == 0
+  def oldestTime: Long = if (frontLen > 0) frontTimes(fstart) else backTimes(0)
+  def youngestTime: Long = if (backTimes.nonEmpty) backTimes.last else frontTimes.last
 
   def query(): V = {
     val f = if (frontLen > 0) frontAggs(fstart).asInstanceOf[V] else monoid.identity
@@ -57,18 +56,14 @@ final class DeamortizedTwoStacks[V](val monoid: Monoid[V]) extends Swag[V] {
   }
 
   def insert(t: Long, v: V): Unit = {
-    maxTime match {
-      case Some(mt) if t < mt =>
-        throw new IllegalArgumentException(s"$name is in-order only: t=$t < max=$mt")
-      case Some(mt) if t == mt =>
-        require(backTimes.length > (if (rotating) b1Count else 0),
-          s"$name: duplicate t=$t not in back₂")
-        backVals(backVals.length - 1) = monoid.combine(backVals.last, v)
-        backSum = monoid.combine(backSum, v)
-      case _ =>
-        backTimes += t; backVals += v
-        backSum = monoid.combine(backSum, v)
+    if (isEmpty || t > youngestTime) { backTimes += t; backVals += v }
+    else if (t < youngestTime)
+      throw new IllegalArgumentException(s"$name is in-order only: t=$t < max=$youngestTime")
+    else {
+      require(backTimes.length > (if (rotating) b1Count else 0), s"$name: duplicate t=$t not in back₂")
+      backVals(backVals.length - 1) = monoid.combine(backVals.last, v)
     }
+    backSum = monoid.combine(backSum, v)
     steps(); maybeStart()
   }
 

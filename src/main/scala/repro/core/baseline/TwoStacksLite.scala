@@ -29,11 +29,9 @@ final class TwoStacksLite[V](val monoid: Monoid[V]) extends Swag[V] {
 
   private def frontLen = frontTimes.length - fstart
   def size: Int = frontLen + backTimes.length
-  def minTime: Option[Long] =
-    if (frontLen > 0) Some(frontTimes(fstart))
-    else backTimes.headOption
-  def maxTime: Option[Long] =
-    backTimes.lastOption.orElse(if (frontLen > 0) Some(frontTimes.last) else None)
+  def isEmpty: Boolean = size == 0
+  def oldestTime: Long = if (frontLen > 0) frontTimes(fstart) else backTimes(0)
+  def youngestTime: Long = if (backTimes.nonEmpty) backTimes.last else frontTimes.last
 
   def query(): V = {
     val f = if (frontLen > 0) frontAggs(fstart).asInstanceOf[V] else monoid.identity
@@ -41,18 +39,12 @@ final class TwoStacksLite[V](val monoid: Monoid[V]) extends Swag[V] {
   }
 
   def insert(t: Long, v: V): Unit = {
-    maxTime match {
-      case Some(mt) if t < mt =>
-        throw new IllegalArgumentException(s"$name is in-order only: t=$t < max=$mt")
-      case Some(mt) if t == mt =>
-        if (backTimes.nonEmpty) {
-          backVals(backVals.length - 1) = monoid.combine(backVals.last, v)
-          backSum = monoid.combine(backSum, v) // (a⊗b)⊗v = a⊗(b⊗v): tail-append is safe
-        } else throw new IllegalArgumentException(s"$name: duplicate t=$t not in back")
-      case _ =>
-        backTimes += t; backVals += v
-        backSum = monoid.combine(backSum, v)
-    }
+    if (isEmpty || t > youngestTime) { backTimes += t; backVals += v }
+    else if (t < youngestTime)
+      throw new IllegalArgumentException(s"$name is in-order only: t=$t < max=$youngestTime")
+    else if (backTimes.nonEmpty) backVals(backVals.length - 1) = monoid.combine(backVals.last, v)
+    else throw new IllegalArgumentException(s"$name: duplicate t=$t not in back")
+    backSum = monoid.combine(backSum, v) // on a duplicate, (a⊗b)⊗v = a⊗(b⊗v): tail-append is safe
   }
 
   def evict(): Unit = {

@@ -73,9 +73,6 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
   /** Youngest timestamp; the window must be nonempty. */
   final def youngestTime: Long = rightFinger.lastTime
 
-  final def minTimeOpt: Option[Long] = if (isEmpty) None else Some(oldestTime)
-  final def maxTimeOpt: Option[Long] = if (isEmpty) None else Some(youngestTime)
-
   /** Π↙(leftFinger) ⊗ Π̂(root) ⊗ Π↘(rightFinger); Π̂(root) alone for a
     * root leaf. Constant time.
     */

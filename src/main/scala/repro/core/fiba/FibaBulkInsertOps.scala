@@ -63,17 +63,14 @@ private[fiba] final class Treelets[V] {
   *     highest spine node touched per side starts the walk, so in-order
   *     bulks never pay more than the treelet height.
   *
-  * Nothing is allocated per entry: the bulk is unpacked once into reused
-  * arrays, treelets live in two reused [[Treelets]] buffers (this level's
-  * and the next), and each interleave merges into one scratch area that
-  * grows to the largest merge seen; `bulkSplit` cuts its pieces straight
-  * out of it into fixed-size nodes.
+  * Nothing is allocated per entry: the bulk is read in place from the
+  * caller's arrays, treelets live in two reused [[Treelets]] buffers (this
+  * level's and the next), and each interleave merges into one scratch area
+  * that grows to the largest merge seen; `bulkSplit` cuts its pieces
+  * straight out of it into fixed-size nodes.
   */
 trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
 
-  // the bulk, unpacked
-  private var inT = new Array[Long](16)
-  private var inV = new Array[AnyRef](16)
   // treelets of the level being processed and of the next one
   private var cur = new Treelets[V]
   private var nxt = new Treelets[V]
@@ -82,52 +79,42 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
   private var scrV = new Array[AnyRef](16)
   private var scrC = new Array[FibaNode[V]](17)
 
-  /** Insert a timestamp-ordered bulk (strictly increasing within the
-    * bulk); values colliding with existing timestamps are combined. The
-    * whole bulk's order is checked before the window changes.
+  /** Insert the bulk `times(i)`, `values(i)` for i in [from, until),
+    * strictly increasing in time; values colliding with existing
+    * timestamps are combined. The slice's bounds and order are checked
+    * before the window changes.
     */
-  final def bulkInsertNative(entries: IndexedSeq[(Long, V)]): Unit = {
-    val m = entries.length
-    if (m == 0) return
-    if (m == 1) { // "small insertion" (§6): no treelet machinery
-      val (t, v) = entries(0)
-      insertOne(t, v)
-      return
-    }
-    if (inT.length < m) {
-      val cap = math.max(m, 2 * inT.length)
-      inT = new Array[Long](cap); inV = new Array[AnyRef](cap)
-    }
-    var i = 0
-    while (i < m) {
-      val e = entries(i)
-      val t = e._1
-      require(i == 0 || t > inT(i - 1), "bulk must be strictly increasing in time")
-      inT(i) = t; inV(i) = e._2.asInstanceOf[AnyRef]
+  final def bulkInsertNative(times: Array[Long], values: Array[V], from: Int, until: Int): Unit = {
+    if (from < 0 || from > until || until > times.length || until > values.length)
+      throw new IllegalArgumentException(s"bulk slice [$from, $until) out of bounds")
+    var i = from + 1
+    while (i < until) {
+      require(times(i) > times(i - 1), "bulk must be strictly increasing in time")
       i += 1
     }
-    try insertSorted(m)
-    finally { // drop references; also resets the buffers if a check threw
-      FibaNode.nullOut(inV, 0, m)
-      cur.clear(); nxt.clear()
+    val m = until - from
+    if (m == 1) insertOne(times(from), values(from)) // "small insertion" (§6): no treelet machinery
+    else if (m > 1) {
+      try insertSorted(times, values, from, until)
+      finally { cur.clear(); nxt.clear() } // drop references; also resets the buffers if a check threw
     }
   }
 
-  /** Insert the first `m` (≥ 2) unpacked entries `inT`/`inV`. */
-  private def insertSorted(m: Int): Unit = {
+  /** Insert the slice [from, until) (≥ 2 entries) of `times`/`values`. */
+  private def insertSorted(times: Array[Long], values: Array[V], from: Int, until: Int): Unit = {
     if (isEmpty) { // empty window: plain appends, d = 0
-      var i = 0
-      while (i < m) { insertOne(inT(i), inV(i).asInstanceOf[V]); i += 1 }
+      var i = from
+      while (i < until) { insertOne(times(i), values(i)); i += 1 }
       return
     }
 
     // ---- Step 1: insertion-sites search (successor-style LCA hopping).
     var prevSite: FibaNode[V] = null
     var prevLevel = 0
-    var i = 0
-    while (i < m) {
-      val t = inT(i)
-      val v = inV(i)
+    var i = from
+    while (i < until) {
+      val t = times(i)
+      val v = values(i)
       // Appends (the common in-order case) go straight through the right
       // finger in O(1); other entries hop to the LCA of consecutive sites.
       var node =
@@ -138,11 +125,11 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
       while (!placed) {
         val idx = node.lowerBound(t)
         if (idx < node.n && node.times(idx) == t) {
-          node.setValue(idx, monoid.combine(node.value(idx), v.asInstanceOf[V])) // combine now
+          node.setValue(idx, monoid.combine(node.value(idx), v)) // combine now
           cur.add(node, t, null, null, level, rc = true)
           placed = true
         } else if (node.isLeaf) {
-          cur.add(node, t, v, null, 0, rc = false)
+          cur.add(node, t, v.asInstanceOf[AnyRef], null, 0, rc = false)
           placed = true
         } else { node = node.children(idx); level -= 1 }
       }

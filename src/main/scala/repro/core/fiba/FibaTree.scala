@@ -22,8 +22,9 @@ sealed abstract class FibaSwag[V](minArity: Int, val monoid: Monoid[V], useFreeL
   val supportsOoo = true
 
   def size: Int = tree.sizeByTraversal // O(n); diagnostics only
-  def minTime: Option[Long] = tree.minTimeOpt
-  def maxTime: Option[Long] = tree.maxTimeOpt
+  def isEmpty: Boolean = tree.isEmpty
+  def oldestTime: Long = tree.oldestTime
+  def youngestTime: Long = tree.youngestTime
   def query(): V = tree.queryAgg()
   def insert(t: Long, v: V): Unit = tree.insertOne(t, v)
   def evict(): Unit = tree.evictOldest()
@@ -40,7 +41,8 @@ final class BFiba[V](minArity: Int, monoid: Monoid[V], useFreeList: Boolean = tr
     extends FibaSwag[V](minArity, monoid, useFreeList) {
   val name = s"b_fiba$minArity" + (if (useFreeList) "" else "_nofl")
   override def bulkEvict(t: Long): Unit = tree.bulkEvictNative(t)
-  override def bulkInsert(entries: IndexedSeq[(Long, V)]): Unit = tree.bulkInsertNative(entries)
+  override def bulkInsert(times: Array[Long], values: Array[V], from: Int, until: Int): Unit =
+    tree.bulkInsertNative(times, values, from, until)
 }
 
 /** The prior state of the art [Tangwongsan et al. 2019]: the same tree but
@@ -49,8 +51,5 @@ final class BFiba[V](minArity: Int, monoid: Monoid[V], useFreeList: Boolean = tr
 final class NbFiba[V](minArity: Int, monoid: Monoid[V])
     extends FibaSwag[V](minArity, monoid, useFreeList = true) {
   val name = s"nb_fiba$minArity"
-  /** Swag's single-evict loop, reading the tree's primitive oldest time. */
-  override def bulkEvict(t: Long): Unit =
-    while (!tree.isEmpty && tree.oldestTime <= t) tree.evictOldest()
-  // bulkInsert: Swag's default single-insert loop
+  // bulkEvict and bulkInsert: Swag's default single-operation loops
 }

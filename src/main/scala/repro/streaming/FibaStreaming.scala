@@ -6,7 +6,6 @@ import repro.core.{Monoid, Swag}
 import repro.core.Monoids.{MaxD, MinD, SumD}
 import repro.core.baseline.BruteForceSwag
 import repro.core.fiba.{BFiba, NbFiba}
-import scala.collection.mutable.ArrayBuffer
 
 /** One stream record: per-key event time (seconds) and a Double payload. */
 final case class Event(key: Long, time: Long, value: Double)
@@ -86,30 +85,31 @@ object FibaStreaming {
       algo = makeAlgo(algoName, monoid)
       state.getOption.foreach { snap => // recovery: rebuild via one bulk insert
         watermark = snap.watermark
-        if (snap.times.nonEmpty)
-          algo.bulkInsert(snap.times.indices.map(i => (snap.times(i), snap.values(i))))
+        algo.bulkInsert(snap.times, snap.values, 0, snap.times.length)
       }
       cache.put(cacheKey, algo)
     } else {
       watermark = state.getOption.map(_.watermark).getOrElse(Long.MinValue)
     }
 
-    // Sort the batch and pre-combine duplicate timestamps so it is a
-    // strictly increasing bulk, then do ONE bulk insert.
+    // Sort the batch and pre-combine duplicate timestamps into a strictly
+    // increasing bulk of m entries, then do ONE bulk insert.
     val batch = rows.toArray
     if (batch.nonEmpty) {
       java.util.Arrays.sort(batch, Ordering.by((e: Event) => e.time))
-      val merged = new ArrayBuffer[(Long, Double)](batch.length)
+      val times = new Array[Long](batch.length)
+      val values = new Array[Double](batch.length)
+      var m = 0
       var i = 0
       while (i < batch.length) {
         val t = batch(i).time
         var v = batch(i).value
         i += 1
         while (i < batch.length && batch(i).time == t) { v = monoid.combine(v, batch(i).value); i += 1 }
-        merged += ((t, v))
+        times(m) = t; values(m) = v; m += 1
       }
-      algo.bulkInsert(merged.toIndexedSeq)
-      watermark = math.max(watermark, batch.map(_.time).max)
+      algo.bulkInsert(times, values, 0, m)
+      watermark = math.max(watermark, times(m - 1))
     }
     // ONE bulk evict per batch: slide the window to (watermark - len, watermark].
     if (watermark != Long.MinValue) algo.bulkEvict(watermark - windowLen)

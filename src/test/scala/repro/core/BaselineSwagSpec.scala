@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Monoids._
+import repro.core.TestGen._
 import repro.core.baseline._
 import scala.util.Random
 
@@ -34,15 +35,14 @@ class BaselineSwagSpec extends AnyFunSuite {
         case 5 | 6 =>
           algo.evict(); ref.evict()
         case 7 =>
-          val cut = ref.minTime.getOrElse(0L) + rnd.nextInt(10)
+          val cut = (if (ref.isEmpty) 0L else ref.oldestTime) + rnd.nextInt(10)
           algo.bulkEvict(cut); ref.bulkEvict(cut)
         case _ => // query-only step
       }
       assert(algo.query() == ref.query(),
         s"${algo.name} seed=$seed step=$step: ${algo.query()} != ${ref.query()}")
       assert(algo.size == ref.size, s"${algo.name} seed=$seed step=$step size")
-      assert(algo.minTime == ref.minTime, s"${algo.name} seed=$seed step=$step minTime")
-      assert(algo.maxTime == ref.maxTime, s"${algo.name} seed=$seed step=$step maxTime")
+      assert(ends(algo) == ends(ref), s"${algo.name} seed=$seed step=$step window ends")
       step += 1
     }
   }
@@ -121,7 +121,7 @@ class BaselineSwagSpec extends AnyFunSuite {
     a.bulkEvict(637)
     assert(a.size == 363)
     assert(a.query() == 363L)
-    assert(a.minTime.contains(638L))
+    assert(a.oldestTime == 638L)
     a.bulkEvict(5000)
     assert(a.size == 0)
   }
@@ -130,7 +130,7 @@ class BaselineSwagSpec extends AnyFunSuite {
     val b = new BruteForceSwag(ConcatM)
     Seq(1L, 3L, 5L).foreach(t => b.insert(t, Vector(t)))
     b.bulkEvict(3)
-    assert(b.contents.map(_._1) == IndexedSeq(5L))
+    assert(b.snapshot().get.map(_._1) == IndexedSeq(5L))
     b.bulkEvict(4) // below min: no-op
     assert(b.size == 1)
   }

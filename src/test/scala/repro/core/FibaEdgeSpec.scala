@@ -2,6 +2,8 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Monoids._
+import repro.core.TestGen._
+import repro.core.baseline.BruteForceSwag
 import repro.core.fiba.{BFiba, FibaTree}
 
 /** Targeted FiBA scenarios beyond the randomized property tests: tree
@@ -58,13 +60,52 @@ class FibaEdgeSpec extends AnyFunSuite {
     // the first entry collides with an existing timestamp: nothing may be
     // combined before the order check rejects the bulk
     intercept[IllegalArgumentException](
-      t.bulkInsertNative(IndexedSeq((10L, Vector(-10L)), (5L, Vector(-5L)))))
+      t.bulkInsertPairs(IndexedSeq((10L, Vector(-10L)), (5L, Vector(-5L)))))
     t.validate()
     assert(t.toEntries == before)
     assert(t.queryAgg() == q)
-    t.bulkInsertNative(IndexedSeq((10L, Vector(-10L)), (60L, Vector(60L))))
+    t.bulkInsertPairs(IndexedSeq((10L, Vector(-10L)), (60L, Vector(60L))))
     t.validate()
     assert(t.queryAgg() == (1L to 10L).toVector ++ Vector(-10L) ++ (11L to 50L) ++ Vector(60L))
+  }
+
+  test("a slice out of bounds or unordered inside is rejected and leaves the window untouched") {
+    val t = filled(4, 50)
+    val before = t.toEntries
+    val q = t.queryAgg()
+    // [1, 4) collides at 10 and is unordered only at its last pair; the
+    // entries outside it are in order
+    val times = Array(1L, 10L, 20L, 15L, 60L)
+    val values = times.map(x => Vector(-x))
+    for ((from, until) <- Seq((1, 4), (0, 5), (-1, 2), (3, 6), (3, 2))) {
+      intercept[IllegalArgumentException](t.bulkInsertNative(times, values, from, until))
+      t.validate()
+      assert(t.toEntries == before, s"[$from, $until)")
+      assert(t.queryAgg() == q, s"[$from, $until)")
+    }
+    // ordered inside [1, 3), unordered outside it: accepted
+    val mixed = Array(70L, 10L, 60L, 5L)
+    t.bulkInsertNative(mixed, mixed.map(x => Vector(-x)), 1, 3)
+    t.validate()
+    assert(t.queryAgg() == (1L to 10L).toVector ++ Vector(-10L) ++ (11L to 50L) ++ Vector(-60L))
+  }
+
+  test("b_fiba fed primitive Array[Double] slices matches the brute-force reference") {
+    val fiba = new BFiba[Double](4, SumD)
+    val ref = new BruteForceSwag[Double](SumD)
+    val rnd = new scala.util.Random(11)
+    for (round <- 1 to 100) {
+      val ts = Array.fill(1 + rnd.nextInt(60))(rnd.nextInt(3000).toLong).distinct.sorted
+      val times = (-7L +: ts) :+ -7L // padding outside the slice
+      val values = times.map(x => (x % 97).toDouble) // integral: sums are exact
+      fiba.bulkInsert(times, values, 1, times.length - 1)
+      ref.bulkInsert(times, values, 1, times.length - 1)
+      val cut = rnd.nextInt(3000).toLong - 1000
+      fiba.bulkEvict(cut); ref.bulkEvict(cut)
+      assert(fiba.query() == ref.query(), s"round=$round")
+      assert(fiba.snapshot() == ref.snapshot(), s"round=$round")
+    }
+    fiba.underlying.validate()
   }
 
   test("one giant bulk insert builds a valid multi-level tree") {
@@ -72,7 +113,7 @@ class FibaEdgeSpec extends AnyFunSuite {
       val t = new FibaTree[Vector[Long]](minArity, ConcatM)
       t.insertOne(0L, Vector(0L))
       val es = (1L to 20000L).map(i => (i, Vector(i)))
-      t.bulkInsertNative(es)
+      t.bulkInsertPairs(es)
       t.validate()
       assert(t.sizeByTraversal == 20001)
       assert(t.queryAgg().take(5) == Vector(0L, 1L, 2L, 3L, 4L))
@@ -84,7 +125,7 @@ class FibaEdgeSpec extends AnyFunSuite {
     val t = new FibaTree[Vector[Long]](4, ConcatM)
     (1L to 5000L).foreach(i => t.insertOne(i * 3, Vector(i * 3)))
     val bulk = (1L until 5000L).map(i => (i * 3 + 1, Vector(i * 3 + 1)))
-    t.bulkInsertNative(bulk)
+    t.bulkInsertPairs(bulk)
     t.validate()
     assert(t.sizeByTraversal == 9999)
   }
@@ -110,7 +151,7 @@ class FibaEdgeSpec extends AnyFunSuite {
     t.bulkEvictNative(123)
     val entries = t.toEntries
     val rebuilt = new FibaTree[Vector[Long]](3, ConcatM)
-    rebuilt.bulkInsertNative(entries)
+    rebuilt.bulkInsertPairs(entries)
     rebuilt.validate()
     assert(rebuilt.queryAgg() == t.queryAgg())
     assert(rebuilt.toEntries == entries)
@@ -122,7 +163,7 @@ class FibaEdgeSpec extends AnyFunSuite {
     // bulk hits 50 existing timestamps and adds 50 fresh ones above
     val bulk = ((26L to 75L).map(i => (i, Vector(i + 1000))) ++
                 (101L to 150L).map(i => (i, Vector(i)))).sortBy(_._1)
-    t.bulkInsertNative(bulk)
+    t.bulkInsertPairs(bulk)
     t.validate()
     val q = t.queryAgg()
     assert(q.length == 200)
@@ -133,7 +174,7 @@ class FibaEdgeSpec extends AnyFunSuite {
     val t = new FibaTree[Vector[Long]](2, ConcatM)
     for (round <- 1 to 15) {
       val base = round * 1000L
-      t.bulkInsertNative((0L until 300L).map(i => (base + i, Vector(base + i))))
+      t.bulkInsertPairs((0L until 300L).map(i => (base + i, Vector(base + i))))
       t.validate()
       assert(t.sizeByTraversal == 300)
       t.bulkEvictNative(base + 299)
@@ -144,12 +185,12 @@ class FibaEdgeSpec extends AnyFunSuite {
 
   test("min/max time track the fingers under mixed bulks") {
     val t = new FibaTree[Vector[Long]](4, ConcatM)
-    t.bulkInsertNative((100L to 400L).map(i => (i, Vector(i))))
-    assert(t.minTimeOpt.contains(100L) && t.maxTimeOpt.contains(400L))
-    t.bulkInsertNative(IndexedSeq((50L, Vector(50L)), (500L, Vector(500L))))
-    assert(t.minTimeOpt.contains(50L) && t.maxTimeOpt.contains(500L))
+    t.bulkInsertPairs((100L to 400L).map(i => (i, Vector(i))))
+    assert(ends(t).contains((100L, 400L)))
+    t.bulkInsertPairs(IndexedSeq((50L, Vector(50L)), (500L, Vector(500L))))
+    assert(ends(t).contains((50L, 500L)))
     t.bulkEvictNative(499)
-    assert(t.minTimeOpt.contains(500L) && t.maxTimeOpt.contains(500L))
+    assert(ends(t).contains((500L, 500L)))
   }
 
   test("sum monoid at larger arity matches a running reference") {

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Monoids._
+import repro.core.TestGen._
 import repro.core.baseline.BruteForceSwag
 import repro.core.fiba.FibaTree
 import scala.util.Random
@@ -36,13 +37,13 @@ class FibaPropertySpec extends AnyFunSuite {
         tree.bulkEvictNative(t); ref.bulkEvict(t)
       } else if (dice == 7) {
         val t = rnd.nextInt(tRange).toLong
-        while (ref.minTime.exists(_ <= t)) { tree.evictOldest(); ref.evict() }
+        while (!ref.isEmpty && ref.oldestTime <= t) { tree.evictOldest(); ref.evict() }
       } else if (dice <= 10 && bulkOps) { // bulk insert of up to 40 entries
         val k = 1 + rnd.nextInt(40)
         val ts = Iterator.continually(rnd.nextInt(tRange).toLong).take(3 * k)
           .toVector.distinct.sorted.take(k)
         val es = ts.map(t => (t, entryFor(t)))
-        tree.bulkInsertNative(es)
+        tree.bulkInsertPairs(es)
         es.foreach { case (t, v) => ref.insert(t, v) }
       } else if (dice <= 10) {
         val t = rnd.nextInt(tRange).toLong
@@ -52,8 +53,7 @@ class FibaPropertySpec extends AnyFunSuite {
       val got = tree.queryAgg()
       val want = ref.query()
       assert(got == want, s"$ctx step=$step op=$dice:\n got=$got\nwant=$want\n${tree.dump()}")
-      assert(tree.minTimeOpt == ref.minTime, s"$ctx step=$step minTime")
-      assert(tree.maxTimeOpt == ref.maxTime, s"$ctx step=$step maxTime")
+      assert(ends(tree) == ends(ref), s"$ctx step=$step window ends")
       step += 1
     }
   }
@@ -100,7 +100,7 @@ class FibaPropertySpec extends AnyFunSuite {
       val a = new FibaTree[Vector[Long]](minArity, ConcatM)
       val b = new FibaTree[Vector[Long]](minArity, ConcatM)
       val es = (1L to 1000L).map(t => (t, entryFor(t)))
-      a.bulkInsertNative(es)
+      a.bulkInsertPairs(es)
       es.foreach { case (t, v) => b.insertOne(t, v) }
       a.validate(); b.validate()
       assert(a.queryAgg() == b.queryAgg())
@@ -112,7 +112,7 @@ class FibaPropertySpec extends AnyFunSuite {
     val ref = new BruteForceSwag(ConcatM)
     for (t <- (1L to 2000L by 2)) { tree.insertOne(t, entryFor(t)); ref.insert(t, entryFor(t)) }
     val bulk = (900L to 1100L).filter(_ % 2 == 0).map(t => (t, entryFor(t)))
-    tree.bulkInsertNative(bulk)
+    tree.bulkInsertPairs(bulk)
     bulk.foreach { case (t, v) => ref.insert(t, v) }
     tree.validate()
     assert(tree.queryAgg() == ref.query())
@@ -123,7 +123,7 @@ class FibaPropertySpec extends AnyFunSuite {
     val ref = new BruteForceSwag(ConcatM)
     for (t <- 1L to 300L) { tree.insertOne(t, entryFor(t)); ref.insert(t, entryFor(t)) }
     val bulk = (1L to 300L).map(t => (t, Vector(t + 1000)))
-    tree.bulkInsertNative(bulk)
+    tree.bulkInsertPairs(bulk)
     bulk.foreach { case (t, v) => ref.insert(t, v) }
     tree.validate()
     assert(tree.queryAgg() == ref.query())
@@ -136,11 +136,11 @@ class FibaPropertySpec extends AnyFunSuite {
       tr
     }
     val t1 = mk(); t1.bulkEvictNative(5); t1.validate()
-    assert(t1.minTimeOpt.contains(10L))
+    assert(t1.oldestTime == 10L)
     val t2 = mk(); t2.bulkEvictNative(250); t2.validate() // exact timestamp hit
-    assert(t2.minTimeOpt.contains(260L))
+    assert(t2.oldestTime == 260L)
     val t3 = mk(); t3.bulkEvictNative(245); t3.validate() // between timestamps
-    assert(t3.minTimeOpt.contains(250L))
+    assert(t3.oldestTime == 250L)
     val t4 = mk(); t4.bulkEvictNative(500); t4.validate() // evict all (exact max)
     assert(t4.isEmpty && t4.queryAgg() == Vector.empty)
     val t5 = mk(); t5.bulkEvictNative(10000); t5.validate() // evict all (beyond)
@@ -165,7 +165,7 @@ class FibaPropertySpec extends AnyFunSuite {
       val m = 1 + (round * 37) % 200
       val es = (1 to m).map { i => val tt = t + i; (tt, entryFor(tt)) }
       t += m
-      tree.bulkInsertNative(es)
+      tree.bulkInsertPairs(es)
       es.foreach { case (tt, v) => ref.insert(tt, v) }
       val cut = t - 300
       tree.bulkEvictNative(cut); ref.bulkEvict(cut)
@@ -185,7 +185,7 @@ class FibaPropertySpec extends AnyFunSuite {
         val tt = maxT - d - 2 * i - 1 // odd: guaranteed new
         (tt, entryFor(tt))
       }.sortBy(_._1)
-      tree.bulkInsertNative(bulk.toIndexedSeq)
+      tree.bulkInsertPairs(bulk.toIndexedSeq)
       bulk.foreach { case (tt, v) => ref.insert(tt, v) }
       tree.validate()
       assert(tree.queryAgg() == ref.query(), s"d=$d")

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Monoids._
+import repro.core.TestGen._
 import repro.core.baseline.BruteForceSwag
 import repro.core.fiba.FibaTree
 import scala.util.Random
@@ -27,7 +28,7 @@ class FibaStressSpec extends AnyFunSuite {
           val ts = Iterator.continually(rnd.nextInt(5000).toLong).take(3 * k)
             .toVector.distinct.sorted.take(k)
           val es = ts.map(t => (t, Vector(t)))
-          tree.bulkInsertNative(es)
+          tree.bulkInsertPairs(es)
           es.foreach { case (t, v) => ref.insert(t, v) }
         case 5 | 6 =>
           val t = rnd.nextInt(5200).toLong - 100
@@ -35,10 +36,10 @@ class FibaStressSpec extends AnyFunSuite {
         case 7 =>
           tree.evictOldest(); ref.evict()
         case 8 => // heavy in-order burst above the window
-          val base = ref.maxTime.getOrElse(0L)
+          val base = if (ref.isEmpty) 0L else ref.youngestTime
           val k = 1 + rnd.nextInt(500)
           val es = (1 to k).map(i => (base + i, Vector(base + i)))
-          tree.bulkInsertNative(es)
+          tree.bulkInsertPairs(es)
           es.foreach { case (t, v) => ref.insert(t, v) }
         case _ => // query-only
       }
@@ -64,7 +65,7 @@ class FibaStressSpec extends AnyFunSuite {
         val m = 1 + rnd.nextInt(200)
         val es = (1 to m).map { i => (top + i, Vector(top + i)) }
         top += m
-        trees.foreach(_.bulkInsertNative(es))
+        trees.foreach(_.bulkInsertPairs(es))
         val cut = top - 500
         trees.foreach(_.bulkEvictNative(cut))
         val qs = trees.map(_.queryAgg())

@@ -33,12 +33,6 @@ class MonoidSpec extends AnyFunSuite {
   laws(GeoMeanM,
        Gen.zip(Gen.choose(-100.0, 100.0), Gen.choose(0L, 1000L)).map { case (s, n) => GeoMean(s, n) },
        (a: GeoMean, b: GeoMean) => approx(a.logSum, b.logSum) && a.n == b.n)
-  laws(MeanM,
-       Gen.zip(Gen.choose(-1e6, 1e6), Gen.choose(0L, 1000L)).map { case (s, n) => Mean(s, n) },
-       (a: Mean, b: Mean) => approx(a.sum, b.sum) && a.n == b.n)
-  laws(ArgMaxM,
-       Gen.zip(Gen.choose(0L, 100L), Gen.choose(-1e3, 1e3)).map { case (a, v) => ArgMax(a, v) },
-       eqAny)
   laws(BloomM, Gen.choose(Long.MinValue, Long.MaxValue).map(Bloom.lift), eqAny)
   laws(ConcatM, Gen.listOf(Gen.choose(0L, 50L)).map(_.toVector), eqAny)
 
@@ -60,15 +54,6 @@ class MonoidSpec extends AnyFunSuite {
 
   test("geomean: empty result is defined") {
     assert(GeoMeanM.identity.result == 0.0)
-  }
-
-  test("mean: result of lifted values is the arithmetic mean") {
-    val m = MeanM.combineAll(Vector(1.0, 2.0, 3.0).map(v => Mean(v, 1)))
-    assert(math.abs(m.result - 2.0) < 1e-12)
-  }
-
-  test("argmax: keeps earliest argument on ties") {
-    assert(ArgMaxM.combine(ArgMax(1, 5.0), ArgMax(2, 5.0)) == ArgMax(1, 5.0))
   }
 
   test("concat is non-commutative (ordering bugs cannot cancel out)") {

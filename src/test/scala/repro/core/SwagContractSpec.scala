@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Monoids._
+import repro.core.TestGen._
 import repro.core.baseline._
 import repro.core.fiba.{BFiba, NbFiba}
 
@@ -27,7 +28,7 @@ class SwagContractSpec extends AnyFunSuite {
     test(s"$name: empty window has identity query and empty extrema") {
       val a = mk()
       assert(a.query() == Vector.empty)
-      assert(a.size == 0 && a.minTime.isEmpty && a.maxTime.isEmpty)
+      assert(a.size == 0 && a.isEmpty)
       a.evict() // must be a no-op
       assert(a.query() == Vector.empty)
     }
@@ -36,20 +37,20 @@ class SwagContractSpec extends AnyFunSuite {
       val a = mk()
       for (t <- 1L to 300L) a.insert(t, Vector(t))
       assert(a.size == 300)
-      assert(a.minTime.contains(1L) && a.maxTime.contains(300L))
+      assert(ends(a).contains((1L, 300L)))
       assert(a.query() == (1L to 300L).toVector)
       for (_ <- 1 to 100) a.evict()
       assert(a.query() == (101L to 300L).toVector)
-      assert(a.minTime.contains(101L))
+      assert(a.oldestTime == 101L)
     }
 
     test(s"$name: bulkEvict keeps strictly-greater timestamps") {
       val a = mk()
       for (t <- 10L to 200L by 10) a.insert(t, Vector(t))
       a.bulkEvict(100) // exact hit: 100 goes, 110 stays
-      assert(a.minTime.contains(110L), s"got ${a.minTime}")
+      assert(a.oldestTime == 110L, s"got ${a.oldestTime}")
       a.bulkEvict(105) // between entries: no-op
-      assert(a.minTime.contains(110L))
+      assert(a.oldestTime == 110L)
       a.bulkEvict(Long.MaxValue - 1)
       assert(a.size == 0 && a.query() == Vector.empty)
     }
@@ -63,6 +64,16 @@ class SwagContractSpec extends AnyFunSuite {
         assert(a.size == 10, s"cycle=$cycle")
         assert(a.query() == ((t - 9) to t).toVector, s"cycle=$cycle")
       }
+    }
+
+    test(s"$name: an in-order bulkInsert slice inserts exactly [from, until)") {
+      val a = mk()
+      Seq(1L, 2L).foreach(t => a.insert(t, Vector(t)))
+      // the entries outside [1, 4) are older than the window
+      val times = Array(0L, 3L, 4L, 5L, 1L)
+      a.bulkInsert(times, times.map(t => Vector(t + 100)), 1, 4)
+      assert(a.query() == Vector(1L, 2L, 103L, 104L, 105L))
+      assert(ends(a).contains((1L, 5L)))
     }
 
     test(s"$name: snapshot (if supported) equals the window contents") {
@@ -91,6 +102,13 @@ class SwagContractSpec extends AnyFunSuite {
       a.bulkInsert(IndexedSeq((1L, Vector(1L)), (4L, Vector(40L)), (7L, Vector(7L))))
       assert(a.query() == Vector(1L, 2L, 4L, 40L, 6L, 7L))
       assert(a.size == 5)
+      // the same bulk as the slice [1, 4) of arrays unordered outside it
+      val b = mk()
+      Seq(2L, 4L, 6L).foreach(t => b.insert(t, Vector(t)))
+      b.bulkInsert(Array(9L, 1L, 4L, 7L, 0L),
+                   Array(Vector(9L), Vector(1L), Vector(40L), Vector(7L), Vector(0L)), 1, 4)
+      assert(b.query() == a.query())
+      assert(b.size == 5)
     }
   }
 }
