@@ -57,18 +57,25 @@ trait Swag[V] {
     while (i < until) { insert(times(i), values(i)); i += 1 }
   }
 
-  // the tuple adapter's unpacked bulk, reused across calls
+  // the tuple adapter's unpacked bulk, reused across calls, and the entries
+  // carried since the last bulk of at least a quarter of its capacity
   private[this] var tupT = Array.emptyLongArray
   private[this] var tupV = Array.empty[AnyRef]
+  private[this] var tupIdle = 0L
 
   /** Insert a timestamp-ordered bulk given as pairs: unpacks it into two
-    * buffers reused across calls and inserts it as one slice.
+    * buffers reused across calls and inserts it as one slice. The buffers
+    * grow to fit, and shrink to twice the bulk once bulks under a quarter
+    * of their capacity have carried a quarter of it: a huge first bulk (a
+    * prefill) is not pinned, and alternating sizes do not reallocate.
     */
   final def bulkInsert(entries: IndexedSeq[(Long, V)]): Unit = {
     val m = entries.length
-    if (tupT.length < m) {
-      val cap = math.max(m, 2 * tupT.length) // a first huge bulk (a prefill) gets no slack
+    if (4L * m >= tupT.length) tupIdle = 0 else tupIdle += m
+    if (tupT.length < m || 4 * tupIdle > tupT.length) {
+      val cap = if (tupT.length < m) math.max(m, 2 * tupT.length) else 2 * m
       tupT = new Array[Long](cap); tupV = new Array[AnyRef](cap)
+      tupIdle = 0
     }
     var i = 0
     while (i < m) { val e = entries(i); tupT(i) = e._1; tupV(i) = e._2.asInstanceOf[AnyRef]; i += 1 }

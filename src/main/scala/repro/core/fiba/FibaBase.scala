@@ -60,6 +60,20 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
     } else newNode(leaf)
   }
 
+  /** Grow the tree by one level: a fresh root takes the old root `n` as
+    * its only child c0, which becomes the left-spine top (and, for a
+    * leaf, the left finger). The caller's split then promotes an entry
+    * and hangs the right half into the new root.
+    */
+  protected final def growRoot(n: FibaNode[V]): Unit = {
+    val nr = allocNode(leaf = false)
+    nr.children(0) = n
+    n.parent = nr
+    root = nr
+    n.leftSpine = true
+    if (n.isLeaf) leftFinger = n
+  }
+
   // ---- public window accessors -------------------------------------------
 
   /** Emptiness is structural: a bulk evict cannot afford to count the

@@ -1,6 +1,7 @@
 package repro.core.fiba
 
-/** Bulk eviction (§4): amortized O(log m), worst-case O(log n).
+/** Bulk eviction (§4): amortized O(log m), worst-case O(log n). It is
+  * also the tree's only eviction: single evict is the case m = 1.
   *
   * Three steps:
   *  1. a finger-based *eviction boundary search* up from the left finger
@@ -11,12 +12,17 @@ package repro.core.fiba
   *  2. a *pass up* the boundary doing local evictions (slicing whole
   *     evicted children off in one go, onto the deferred free list) and
   *     repairing arity underflow with batch moves (Fig 18), non-sibling
-  *     merges (Fig 19), or tree shrinking (Figs 4/5), plus a repair loop
-  *     beyond the boundary (shared with single evict);
-  *  3. a *pass down* the new left spine (and the right spine when the cut
-  *     reached it) repairing location-sensitive aggregates and flags.
+  *     merges (Fig 19), or tree shrinking (Figs 4/5); while merges keep
+  *     popping the ancestor it climbs on past `s` up the left spine, where
+  *     each node is c0 and its neighbor is its right sibling;
+  *  3. a *pass down* the new left spine from the highest node the pass up
+  *     changed (and the right spine when a move drained it) repairing
+  *     location-sensitive aggregates and flags.
+  *
+  * A cut inside the left finger that leaves it at arity skips all three:
+  * it drops the entries and repairs the finger alone (§6).
   */
-trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
+trait FibaBulkEvictOps[V] { self: FibaBase[V] =>
 
   // Reusable boundary-search scratch space, one slot per level of the
   // cut (a tree of 2^63 entries is at most 64 levels high). Between calls
@@ -26,7 +32,10 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
   private val idxs      = new Array[Int](64)
   private val neighbors = new Array[FibaNode[V]](64)
   private val ancestors = new Array[FibaNode[V]](64)
-  private val ancLevels = new Array[Int](64) // index into `nodes`; -1 = s.parent
+  private val ancLevels = new Array[Int](64) // index into `nodes`; -1 = above s
+
+  /** Remove the single oldest entry; no-op on an empty window. */
+  final def evictOldest(): Unit = if (!isEmpty) bulkEvictNative(oldestTime)
 
   /** Remove every entry with timestamp <= t. */
   final def bulkEvictNative(t: Long): Unit = {
@@ -34,25 +43,28 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
     if (t >= youngestTime) { clearAll(); return }
 
     // Small-eviction fast paths (§6 spirit): no boundary bookkeeping when
-    // the cut stays inside one leaf — the dominant case on real streams.
+    // the cut stays inside one leaf that keeps its arity — the dominant
+    // case on real streams.
     if (root.isLeaf) {
       root.dropFront(root.evictCount(t))
       root.agg = innerAgg(root)
       return
     }
-    if (t < leftFinger.parent.firstTime) {
-      val idx = leftFinger.evictCount(t)
-      if (leftFinger.n - idx >= minArity - 1) { // no underflow at all
-        leftFinger.dropFront(idx)
-        repairLeftSpineFrom(leftFinger)
-        return
-      } else { // underflow: at most 2µ-1 single evictions — O(1) bounded
-        var k = 0
-        while (k < idx) { evictOldest(); k += 1 }
-        return
-      }
+    val idx = leftFinger.evictCount(t) // the whole finger when the cut leaves it
+    if (leftFinger.n - idx >= minArity - 1) { // no underflow at all
+      leftFinger.dropFront(idx)
+      repairLeftSpineFrom(leftFinger)
+      return
     }
 
+    passUp(searchBoundary(t))
+  }
+
+  /** Step 1: the eviction boundary search. Fills the scratch arrays with
+    * one boundary triple per level of the cut, from the boundary top s
+    * down, and returns the number of levels.
+    */
+  private def searchBoundary(t: Long): Int = {
     // ---- Step 1a: ascend from the left finger to the boundary top s.
     var s = leftFinger
     while ((s ne root) && t >= s.parent.firstTime) s = s.parent
@@ -85,21 +97,26 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
       }
     }
 
-    // ---- Step 2: pass up — local evictions + arity repair.
-    // (captured now: a merge whose ancestor is s.parent frees s, nulling
-    // its parent pointer before step 3 would read it)
-    val sParent = s.parent
+    depth
+  }
+
+  /** Step 2: the pass up over the `depth` levels of the cut — local
+    * evictions and arity repair — handing off to step 3.
+    */
+  private def passUp(depth: Int): Unit = {
+    // `node` is nodes(l) inside the boundary; above s = nodes(0) (l = -1)
+    // it is a left-spine node whose ancestor a merge popped.
+    val s = nodes(0)
+    var top = if (s eq root) root else s.parent // highest node changed
     var newRootInstalled = false
-    var poppedAbove      = false               // a merge popped s.parent
-    var rightDirtyTop: FibaNode[V] = null      // a move drained a right-spine neighbor
+    var rightDirtyTop: FibaNode[V] = null // a move drained a right-spine neighbor
 
     var l = depth - 1
-    var skipLocalEvict = false
+    var node = nodes(l)
+    var evictHere = true
     var done = false
-    while (!done && l >= 0) {
-      val node = nodes(l)
-      val neighbor = neighbors(l)
-      if (!skipLocalEvict) {
+    while (!done) {
+      if (evictHere) {
         val idx = idxs(l)
         if (!node.isLeaf) {
           var i = 0
@@ -107,19 +124,20 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
         }
         node.dropFront(idx)
       }
-      skipLocalEvict = false
+      evictHere = true
 
+      val neighbor = if (l >= 0) neighbors(l) else if (node eq root) null else node.parent.children(1)
       if (node eq root) {
         if (!root.isLeaf && root.n == 0) { // Fig 5: make child root
-          val old = root
           root = root.children(0)
-          old.children(0) = null
-          freeNode(old)
+          node.children(0) = null
+          freeNode(node)
           newRootInstalled = true
         }
         done = true
       } else if (node.arity >= minArity) {
-        l -= 1
+        done = l <= 0
+        if (!done) { l -= 1; node = nodes(l) }
       } else if (neighbor == null) {
         // Nothing survives to the right at any level above (only possible
         // when s is the root): the tree shrinks — Figs 4/5.
@@ -137,48 +155,49 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
         newRootInstalled = true
         done = true
       } else {
-        val ancestor = ancestors(l)
+        val ancestor = if (l >= 0) ancestors(l) else node.parent
+        val aLvl = if (l >= 0) ancLevels(l) else -1
+        // the separator is the first entry of the ancestor the cut keeps
+        // (its own local eviction waits for the pass to reach it), or entry
+        // 0 above s
+        val a = if (aLvl >= 0) idxs(aLvl) else 0
+        if (aLvl < 0) top = ancestor
         val deficit = minArity - node.arity
         val surplus = neighbor.arity - minArity
         if (deficit <= surplus) {
-          moveBatch(node, neighbor, ancestor, deficit)
-          if (neighbor.rightSpine) rightDirtyTop = neighbor // repaired in step 3 / shrink repair
+          moveBatch(node, neighbor, ancestor, a, deficit)
+          if (neighbor.rightSpine) rightDirtyTop = neighbor // repaired in step 3
           else neighbor.agg = upAgg(neighbor)
-          l -= 1
+          done = l <= 0
+          if (!done) { l -= 1; node = nodes(l) }
         } else {
-          val a = mergeIntoNeighbor(node, neighbor, ancestor)
+          mergeIntoNeighbor(node, neighbor, ancestor, a)
           // Eager ancestor pop: entries [0..a] (evicted + rotated separator)
           // and children [0..a] (evicted subtrees + the dead path chain).
           var i = 0
           while (i <= a) { freeNode(ancestor.children(i)); i += 1 }
           ancestor.dropFront(a + 1)
-          val aLvl = ancLevels(l)
-          if (aLvl < 0) { poppedAbove = true; done = true }
-          else { l = aLvl; skipLocalEvict = true }
+          l = aLvl
+          node = ancestor
+          evictHere = false
         }
       }
     }
 
-    // ---- Step 3: pass down — spine aggregates, flags, fingers.
-    if (newRootInstalled) {
-      repairFromNewRoot()
-    } else if (s eq root) {
+    if (newRootInstalled) repairFromNewRoot()
+    else passDown(top, rightDirtyTop)
+  }
+
+  /** Step 3: the pass down — spine aggregates, flags, fingers — from the
+    * highest node the pass up changed, and on the right spine from the
+    * neighbor a move drained there (or null).
+    */
+  private def passDown(top: FibaNode[V], rightDirtyTop: FibaNode[V]): Unit = {
+    if (top eq root) {
       root.agg = innerAgg(root)
-      if (!root.isLeaf) repairLeftSpineFrom(root.children(0))
-      if (rightDirtyTop != null) repairRightSpineFrom(rightDirtyTop)
-    } else {
-      val replacedRoot =
-        if (poppedAbove) leftRepairCascade(sParent)
-        else if (sParent eq root) {
-          root.agg = innerAgg(root)
-          repairLeftSpineFrom(root.children(0))
-          false
-        } else {
-          repairLeftSpineFrom(sParent)
-          false
-        }
-      if (rightDirtyTop != null && !replacedRoot) repairRightSpineFrom(rightDirtyTop)
-    }
+      repairLeftSpineFrom(root.children(0))
+    } else repairLeftSpineFrom(top)
+    if (rightDirtyTop != null) repairRightSpineFrom(rightDirtyTop)
   }
 
   /** Evict everything: reset to an empty root leaf. */
@@ -192,24 +211,14 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
 
   // ---- batch rebalancing primitives (paper Figs 18 & 19) -------------------
 
-  /** Index of the separating entry in `ancestor`: the greatest i with
-    * ancestor.times(i) < neighbor's first time.
-    */
-  private def separatorIndex(ancestor: FibaNode[V], neighbor: FibaNode[V]): Int = {
-    var a = ancestor.n - 1
-    while (a >= 0 && ancestor.times(a) >= neighbor.firstTime) a -= 1
-    require(a >= 0, "bulk evict: no separator between node and neighbor")
-    a
-  }
-
-  /** Fig 18 `moveBatch`: rotate the separator from the ancestor plus the
-    * first k-1 entries (and k children) of the neighbor into `node`, and
-    * rotate the neighbor's k-th entry up into the ancestor's separator
-    * slot. Brings `node` back to MIN_ARITY without overflowing anyone.
+  /** Fig 18 `moveBatch`: rotate the separator (entry `a` of the ancestor)
+    * plus the first k-1 entries (and k children) of the neighbor into
+    * `node`, and rotate the neighbor's k-th entry up into the ancestor's
+    * separator slot. Brings `node` back to MIN_ARITY without overflowing
+    * anyone.
     */
   protected final def moveBatch(node: FibaNode[V], neighbor: FibaNode[V],
-                                ancestor: FibaNode[V], k: Int): Unit = {
-    val a = separatorIndex(ancestor, neighbor)
+                                ancestor: FibaNode[V], a: Int, k: Int): Unit = {
     val internal = !node.isLeaf
     node.append(ancestor.times(a), ancestor.values(a), if (internal) neighbor.children(0) else null)
     var i = 0
@@ -223,12 +232,11 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
   }
 
   /** Fig 19 `mergeNotSibling`: prepend what is left of `node` plus the
-    * separating entry from the ancestor onto `neighbor`, emptying `node`.
-    * Returns the separator index (the caller pops ancestor [0..a]).
+    * separator (entry `a` of the ancestor) onto `neighbor`, emptying
+    * `node`; the caller pops ancestor [0..a].
     */
   protected final def mergeIntoNeighbor(node: FibaNode[V], neighbor: FibaNode[V],
-                                        ancestor: FibaNode[V]): Int = {
-    val a = separatorIndex(ancestor, neighbor)
+                                        ancestor: FibaNode[V], a: Int): Unit = {
     val k = node.n     // node's k entries and the separator go in front
     val m = neighbor.n // of the neighbor's m entries
     System.arraycopy(neighbor.times, 0, neighbor.times, k + 1, m)
@@ -249,6 +257,5 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
     }
     neighbor.n = k + 1 + m
     node.clear()
-    a
   }
 }

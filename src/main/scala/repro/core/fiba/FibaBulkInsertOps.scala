@@ -280,16 +280,8 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
     */
   private def bulkSplitAndPromote(node: FibaNode[V], total: Int, level: Int): FibaNode[V] = {
     val mu = minArity
-    var grewRoot = false
-    if (node eq root) {
-      val nr = allocNode(leaf = false)
-      nr.children(0) = node
-      node.parent = nr
-      root = nr
-      node.leftSpine = true
-      if (node.isLeaf) leftFinger = node
-      grewRoot = true
-    }
+    val grewRoot = node eq root
+    if (grewRoot) growRoot(node)
     val parent = node.parent
     val wasRightSpine = node.rightSpine
 

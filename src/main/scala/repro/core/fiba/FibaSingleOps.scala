@@ -1,12 +1,12 @@
 package repro.core.fiba
 
-/** FiBA single insert and single evict-oldest [Tangwongsan et al. 2019].
+/** FiBA single insert [Tangwongsan et al. 2019].
   *
   * `insertOne` finger-searches from the nearer end (amortized O(log d)),
   * inserts or combines, splits on overflow, and repairs aggregates by the
-  * up-then-spine-down discipline. `evictOldest` removes the left finger's
-  * first entry and rebalances up the left spine. These are the primitives
-  * the non-bulk baseline (`nb_fiba`) loops over to emulate bulk ops.
+  * up-then-spine-down discipline. It is the insert the non-bulk baseline
+  * (`nb_fiba`) loops over to emulate bulk inserts; single evict is bulk
+  * evict at m = 1 (`FibaBulkEvictOps.evictOldest`).
   */
 trait FibaSingleOps[V] { self: FibaBase[V] =>
 
@@ -57,29 +57,16 @@ trait FibaSingleOps[V] { self: FibaBase[V] =>
     val promoV = n.values(mid)
     n.truncate(mid)
 
-    if (wasRoot) {
-      val nr = allocNode(leaf = false)
-      nr.children(0) = n
-      n.parent = nr
-      root = nr
-    }
+    if (wasRoot) growRoot(n)
     val parent = n.parent
     parent.insertAt(parent.childSlot(n), promoT, promoV, right)
 
-    // spine flags / fingers: the right half inherits right-spine status,
-    // the left half keeps left-spine status; a freshly grown root makes
-    // its two halves the tops of the two spines.
-    right.leftSpine = false
-    right.rightSpine = n.rightSpine
-    if (n.rightSpine) {
-      n.rightSpine = false
-      if (rightFinger eq n) rightFinger = right
-    }
-    if (wasRoot) {
-      n.leftSpine = true
-      right.rightSpine = true
-      if (n.isLeaf) { leftFinger = n; rightFinger = right }
-    }
+    // spine flags / fingers: the right half takes over right-spine status
+    // (under a freshly grown root it is the right-spine top); the left
+    // half keeps its left-spine status and the left finger.
+    right.rightSpine = n.rightSpine || wasRoot
+    n.rightSpine = false
+    if (right.rightSpine && right.isLeaf) rightFinger = right
 
     if (!n.leftSpine && !n.rightSpine) n.agg = upAgg(n)
     if (!right.leftSpine && !right.rightSpine) right.agg = upAgg(right)
@@ -137,79 +124,5 @@ trait FibaSingleOps[V] { self: FibaBase[V] =>
       if (dirtyLeft) repairLeftSpineFrom(root.children(0))
       if (dirtyRight) repairRightSpineFrom(root.lastChild)
     }
-  }
-
-  // ---- evict ----------------------------------------------------------------
-
-  /** Remove the single oldest entry; no-op on an empty window. */
-  final def evictOldest(): Unit = {
-    if (isEmpty) return
-    val leaf = leftFinger
-    leaf.dropFront(1)
-    if (leaf eq root) { root.agg = innerAgg(root); return }
-    leftRepairCascade(leaf)
-    ()
-  }
-
-  /** Rebalance up the left spine from `start` (which may underflow),
-    * shrink the root if necessary, and run the final aggregate repairs:
-    * a full from-root repair when the root was replaced, otherwise the
-    * inner/left-spine pass from the topmost touched node. Also used by
-    * bulk eviction's beyond-the-boundary repair loop.
-    * Returns true iff the root changed identity.
-    *
-    * The underflowing node is always c0 of its parent; the right sibling
-    * c1 donates (move) or absorbs into the node (merge), per surplus.
-    */
-  protected final def leftRepairCascade(start: FibaNode[V]): Boolean = {
-    var n = start
-    var top: FibaNode[V] = start
-    var cont = true
-    while (cont && (n ne root) && n.arity < minArity) {
-      val p = n.parent
-      val sib = p.children(1)
-      if (sib.arity > minArity) {
-        // rotate one entry (and child) through the parent
-        n.append(p.times(0), p.values(0), if (n.isLeaf) null else sib.children(0))
-        p.times(0) = sib.times(0)
-        p.values(0) = sib.values(0)
-        sib.dropFront(1)
-        // sib is non-spine unless p is a 2-ary root (then sib is the
-        // right-spine top and its whole spine chain depends on it).
-        if (sib.rightSpine) repairRightSpineFrom(sib)
-        else sib.agg = upAgg(sib)
-        top = p
-        cont = false
-      } else {
-        // merge sibling into n; n keeps its left-spine identity
-        n.append(p.times(0), p.values(0), if (n.isLeaf) null else sib.children(0))
-        var i = 0
-        while (i < sib.n) {
-          n.append(sib.times(i), sib.values(i), if (n.isLeaf) null else sib.children(i + 1))
-          i += 1
-        }
-        // If p was a 2-ary root, sib was the right-spine top: n inherits.
-        if (sib.rightSpine) n.rightSpine = true
-        sib.clear()
-        p.children(1) = n // drop entry 0 and child 1 (sib): shift n into slot 1
-        p.dropFront(1)
-        freeNode(sib)
-        top = p
-        n = p
-      }
-    }
-    if (cont && (n eq root) && !root.isLeaf && root.arity == 1) {
-      val old = root
-      root = root.children(0)
-      old.children(0) = null
-      freeNode(old)
-      repairFromNewRoot()
-      return true
-    }
-    if (top eq root) {
-      root.agg = innerAgg(root)
-      if (!root.isLeaf) repairLeftSpineFrom(root.children(0))
-    } else repairLeftSpineFrom(top)
-    false
   }
 }

@@ -2,10 +2,12 @@ package repro.core.fiba
 
 import repro.core.{Monoid, Swag}
 
-/** The complete FiBA finger B-tree with native bulk eviction (§4) and
-  * bulk insertion (§5). `useFreeList = false` reproduces the paper's
-  * "nofl" memory-management ablation (Fig 10): evicted subtrees are
-  * reclaimed eagerly, costing O(m) per bulk evict instead of O(log m).
+/** The complete FiBA finger B-tree: single insert (`FibaSingleOps`),
+  * native bulk eviction (§4, `FibaBulkEvictOps`, which is also single
+  * evict at m = 1) and bulk insertion (§5, `FibaBulkInsertOps`).
+  * `useFreeList = false` reproduces the paper's "nofl" memory-management
+  * ablation (Fig 10): evicted subtrees are reclaimed eagerly, costing
+  * O(m) per bulk evict instead of O(log m).
   */
 final class FibaTree[V](minArity0: Int, monoid0: Monoid[V], useFreeList0: Boolean = true)
     extends FibaBase[V](minArity0, monoid0, useFreeList0)

@@ -117,7 +117,11 @@ object FibaStreaming {
     val snap =
       if (fullState) {
         val entries = algo.snapshot().getOrElse(sys.error(s"$algoName cannot snapshot"))
-        WindowSnapshot(entries.map(_._1).toArray, entries.map(_._2).toArray, watermark)
+        val times = new Array[Long](entries.length)
+        val values = new Array[Double](entries.length)
+        var i = 0
+        while (i < times.length) { val e = entries(i); times(i) = e._1; values(i) = e._2; i += 1 }
+        WindowSnapshot(times, values, watermark)
       } else WindowSnapshot(Array.emptyLongArray, Array.emptyDoubleArray, watermark)
     state.update(snap)
     Iterator.single(WindowAgg(key, watermark, algo.query()))

@@ -23,15 +23,25 @@ class FibaEdgeSpec extends AnyFunSuite {
   }
 
   test("root leaf grows into a tree and shrinks back to a root leaf") {
-    val t = new FibaTree[Vector[Long]](2, ConcatM)
-    for (i <- 1 to 64) { t.insertOne(i.toLong, Vector(i.toLong)); t.validate() }
-    for (_ <- 1 to 63) { t.evictOldest(); t.validate() }
-    assert(t.queryAgg() == Vector(64L))
-    t.evictOldest()
-    assert(t.isEmpty && t.queryAgg() == Vector.empty)
-    // refill after total drain
-    for (i <- 100 to 130) { t.insertOne(i.toLong, Vector(i.toLong)); t.validate() }
-    assert(t.queryAgg() == (100L to 130L).toVector)
+    // Out of order, the tree's shape differs, so single evicts also meet
+    // moves and merges against the right-spine top under a 2-ary root.
+    for (minArity <- Seq(2, 3, 4, 8); inOrder <- Seq(true, false)) {
+      val ctx = s"minArity=$minArity inOrder=$inOrder"
+      val n = 64L * minArity
+      val ts = if (inOrder) (1L to n) else new scala.util.Random(minArity).shuffle((1L to n).toVector)
+      val t = new FibaTree[Vector[Long]](minArity, ConcatM)
+      for (i <- ts) { t.insertOne(i, Vector(i)); t.validate() }
+      for (k <- 1L until n) {
+        t.evictOldest(); t.validate()
+        assert(ends(t).contains((k + 1, n)), ctx)
+      }
+      assert(t.queryAgg() == Vector(n), ctx)
+      t.evictOldest()
+      assert(t.isEmpty && t.queryAgg() == Vector.empty, ctx)
+      // refill after total drain
+      for (i <- n + 100 to n + 130) { t.insertOne(i, Vector(i)); t.validate() }
+      assert(t.queryAgg() == (n + 100 to n + 130).toVector, ctx)
+    }
   }
 
   test("bulkEvict cutting deep into the right spine replaces the root") {

@@ -58,7 +58,7 @@ class FibaPropertySpec extends AnyFunSuite {
     }
   }
 
-  for (minArity <- Seq(2, 3, 4); bulk <- Seq(false, true)) {
+  for (minArity <- Seq(2, 3, 4, 8); bulk <- Seq(false, true)) {
     test(s"random ops (minArity=$minArity, bulk=$bulk) match reference, 25 seeds") {
       for (seed <- 1 to 25)
         randomRun(minArity, seed, nOps = 300, tRange = 200, bulkOps = bulk, useFreeList = true)

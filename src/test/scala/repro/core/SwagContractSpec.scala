@@ -76,6 +76,23 @@ class SwagContractSpec extends AnyFunSuite {
       assert(ends(a).contains((1L, 5L)))
     }
 
+    test(s"$name: a huge bulk followed by small bulks still inserts exactly those entries") {
+      val a = mk()
+      a.bulkInsert((1L to 5000L).map(t => (t, Vector(t))))
+      assert(a.size == 5000)
+      var t = 5000L
+      for (round <- 1 to 1500) {
+        // mostly 1-7 entries (the adapter's buffers shrink), now and then
+        // a mid-size bulk (they grow again)
+        val m = if (round % 500 == 0) 600 else 1 + round % 7
+        val bulk = (t + 1 to t + m).map(x => (x, Vector(x)))
+        a.bulkEvict(t)
+        a.bulkInsert(bulk)
+        t += m
+        assert(a.query() == bulk.map(_._1), s"round=$round")
+      }
+    }
+
     test(s"$name: snapshot (if supported) equals the window contents") {
       val a = mk()
       for (t <- 1L to 50L) a.insert(t, Vector(t))
