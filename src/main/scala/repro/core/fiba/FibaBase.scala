@@ -31,7 +31,7 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
     */
   private val pool = new java.util.ArrayDeque[FibaNode[V]]()
 
-  private def newNode(leaf: Boolean): FibaNode[V] = new FibaNode[V](leaf, maxArity)
+  private def newNode(leaf: Boolean): FibaNode[V] = new FibaNode[V](leaf, maxEntries)
 
   /** Release `n` and its whole subtree. Child slots already detached
     * (nulled) by the caller are skipped.
@@ -58,20 +58,6 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
       n.reset(leaf)
       n
     } else newNode(leaf)
-  }
-
-  /** Grow the tree by one level: a fresh root takes the old root `n` as
-    * its only child c0, which becomes the left-spine top (and, for a
-    * leaf, the left finger). The caller's split then promotes an entry
-    * and hangs the right half into the new root.
-    */
-  protected final def growRoot(n: FibaNode[V]): Unit = {
-    val nr = allocNode(leaf = false)
-    nr.children(0) = n
-    n.parent = nr
-    root = nr
-    n.leftSpine = true
-    if (n.isLeaf) leftFinger = n
   }
 
   // ---- public window accessors -------------------------------------------
@@ -297,15 +283,15 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
     def rec(n: FibaNode[V], depth: Int, lo: Option[Long], hi: Option[Long],
             onLeft: Boolean, onRight: Boolean): Unit = {
       // flat layout: fixed capacities, nothing pinned past the count
-      if (n.times.length != maxArity || n.values.length != maxArity)
-        fail(s"entry arrays of capacity ${n.times.length}/${n.values.length}, not $maxArity, in $n")
+      if (n.times.length != maxEntries || n.values.length != maxEntries)
+        fail(s"entry arrays of capacity ${n.times.length}/${n.values.length}, not $maxEntries, in $n")
       var i = n.n
-      while (i < maxArity) { if (n.values(i) != null) fail(s"value slot $i past the count is set in $n"); i += 1 }
+      while (i < maxEntries) { if (n.values(i) != null) fail(s"value slot $i past the count is set in $n"); i += 1 }
       if (!n.isLeaf) {
-        if (n.children.length != maxArity + 1)
-          fail(s"children array of capacity ${n.children.length}, not ${maxArity + 1}, in $n")
+        if (n.children.length != maxArity)
+          fail(s"children array of capacity ${n.children.length}, not $maxArity, in $n")
         i = 0
-        while (i <= maxArity) {
+        while (i < maxArity) {
           if ((n.children(i) == null) != (i > n.n)) fail(s"child slot $i disagrees with entry count ${n.n} in $n")
           i += 1
         }

@@ -45,7 +45,10 @@ private[fiba] final class Treelets[V] {
   }
 }
 
-/** Bulk insertion (§5): amortized O(log d + m(1 + log(d/m))).
+/** Bulk insertion (§5): amortized O(log d + m(1 + log(d/m))). It is
+  * also the tree's only insertion: single insert is §6's small insertion,
+  * and an entry whose leaf is full splits through the same pass up as a
+  * bulk of one.
   *
   * Three steps:
   *  1. *insertion-sites search*: locate each bulk entry's target node in
@@ -65,11 +68,12 @@ private[fiba] final class Treelets[V] {
   *
   * Nothing is allocated per entry: the bulk is read in place from the
   * caller's arrays, treelets live in two reused [[Treelets]] buffers (this
-  * level's and the next), and each interleave merges into one scratch area
-  * that grows to the largest merge seen; `bulkSplit` cuts its pieces
+  * level's and the next), and an interleave that fits merges straight
+  * into its node; one that overflows merges into one scratch area that
+  * grows to the largest merge seen, and `bulkSplit` cuts its pieces
   * straight out of it into fixed-size nodes.
   */
-trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
+trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
 
   // treelets of the level being processed and of the next one
   private var cur = new Treelets[V]
@@ -78,6 +82,44 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
   private var scrT = new Array[Long](16)
   private var scrV = new Array[AnyRef](16)
   private var scrC = new Array[FibaNode[V]](17)
+
+  /** Height above the leaves of the node [[fingerSearchTop]] or
+    * [[ascendToCover]] last returned.
+    */
+  private var searchTopLevel = 0
+
+  /** Insert (t, v); combines with the existing value if t is present.
+    * This is §6's small insertion: a collision, or a leaf with room, is
+    * changed in place and repaired by `repairUpFrom` (an append to the
+    * right finger by one combine); only an entry whose leaf is full goes
+    * through the pass up, as one insertion treelet.
+    */
+  final def insertOne(t: Long, v: V): Unit = {
+    var node = fingerSearchTop(t)
+    while (true) {
+      val idx = node.lowerBound(t)
+      if (idx < node.n && node.times(idx) == t) {
+        node.setValue(idx, monoid.combine(node.value(idx), v))
+        repairUpFrom(node)
+        return
+      }
+      if (node.isLeaf) {
+        if (node.n < maxEntries) {
+          node.insertAt(idx, t, v.asInstanceOf[AnyRef])
+          // An entry that lands last in the right finger extends its Π↘
+          // (Π̂ at a root leaf) by associativity; no other aggregate covers
+          // the right finger, so an in-order append is O(1).
+          if ((node eq rightFinger) && idx == node.n - 1) node.agg = monoid.combine(node.agg, v)
+          else repairUpFrom(node)
+        } else {
+          cur.add(node, t, v.asInstanceOf[AnyRef], null, 0, rc = false)
+          passUpAndDown()
+        }
+        return
+      }
+      node = node.children(idx)
+    }
+  }
 
   /** Insert the bulk `times(i)`, `values(i)` for i in [from, until),
     * strictly increasing in time; values colliding with existing
@@ -93,7 +135,7 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
       i += 1
     }
     val m = until - from
-    if (m == 1) insertOne(times(from), values(from)) // "small insertion" (§6): no treelet machinery
+    if (m == 1) insertOne(times(from), values(from)) // "small insertion" (§6): no site search
     else if (m > 1) {
       try insertSorted(times, values, from, until)
       finally { cur.clear(); nxt.clear() } // drop references; also resets the buffers if a check threw
@@ -138,7 +180,13 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
       i += 1
     }
 
-    // ---- Step 2: pass up, level by level.
+    passUpAndDown()
+  }
+
+  /** Steps 2 and 3 on the treelets queued in `cur`: the pass up, level
+    * by level, then the pass down the touched spines.
+    */
+  private def passUpAndDown(): Unit = {
     // Dirty markers are overwritten as levels ascend, so each ends at the
     // highest touched node of its kind — where the pass down starts.
     var dirtyLeftTop: FibaNode[V]  = null
@@ -155,23 +203,34 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
         } else {
           val target = cur.target(j)
           var k = j
-          var hasInsert = false
+          var inserts = 0
           while (k < cur.size && (cur.target(k) eq target) && cur.level(k) <= level) {
-            if (!cur.recompute(k)) hasInsert = true
+            if (!cur.recompute(k)) inserts += 1
             k += 1
           }
+          val total = target.n + inserts
           var lastPiece: FibaNode[V] = null
-          if (hasInsert) {
-            val total = interleave(target, j, k)
-            if (total > maxEntries) lastPiece = bulkSplitAndPromote(target, total, level)
-            else {
-              target.load(scrT, scrV, scrC, 0, total)
-              markOrPropagate(target, cur.time(j), level)
+          if (total > maxEntries) {
+            if (scrT.length < total) {
+              val cap = math.max(total, 2 * scrT.length)
+              scrT = new Array[Long](cap); scrV = new Array[AnyRef](cap); scrC = new Array[FibaNode[V]](cap + 1)
             }
+            interleave(target, j, k, total, scrT, scrV, scrC)
+            lastPiece = bulkSplitAndPromote(target, total, level)
             FibaNode.nullOut(scrV, 0, total)
             if (!target.isLeaf) FibaNode.nullOut(scrC, 0, total + 1)
           } else {
-            markOrPropagate(target, cur.time(j), level)
+            if (inserts > 0) {
+              interleave(target, j, k, total, target.times, target.values, target.children)
+              target.n = total
+            }
+            // A non-spine node gets a fresh up aggregate and propagates a
+            // recomputation treelet to its parent; spine and root nodes
+            // stop it (the pass down repairs them via the dirty markers).
+            if ((target ne root) && !target.leftSpine && !target.rightSpine) {
+              target.agg = upAgg(target)
+              nxt.add(target.parent, cur.time(j), null, null, level + 1, rc = true)
+            }
           }
           // spine bookkeeping: later (higher) levels overwrite, so each
           // marker ends at the highest touched node of its kind
@@ -199,16 +258,28 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
     if (dirtyRightTop != null) repairRightSpineFrom(dirtyRightTop)
   }
 
-  /** Recompute the target's aggregate or defer it: non-spine nodes get a
-    * fresh up aggregate and propagate a recomputation treelet to the
-    * parent; spine/root nodes stop the upward propagation (their repair
-    * happens in the pass down / root recompute via the dirty markers).
+  // ---- search --------------------------------------------------------------
+
+  /** Node whose subtree must contain t, found by finger search: ascend
+    * from the closer finger while t falls outside the current subtree.
+    * Records the node's height in `searchTopLevel`.
     */
-  private def markOrPropagate(target: FibaNode[V], time: Long, level: Int): Unit = {
-    if ((target ne root) && !target.leftSpine && !target.rightSpine) {
-      target.agg = upAgg(target)
-      nxt.add(target.parent, time, null, null, level + 1, rc = true)
+  private def fingerSearchTop(t: Long): FibaNode[V] = {
+    var level = 0
+    var node = root
+    if (!root.isLeaf) {
+      val lo = leftFinger.firstTime
+      val hi = rightFinger.lastTime
+      if (t - lo >= hi - t) { // nearer the young end: ascend from the right finger
+        node = rightFinger
+        while ((node ne root) && t <= node.parent.lastTime) { node = node.parent; level += 1 }
+      } else { // nearer the old end: ascend from the left finger
+        node = leftFinger
+        while ((node ne root) && t >= node.parent.firstTime) { node = node.parent; level += 1 }
+      }
     }
+    searchTopLevel = level
+    node
   }
 
   /** Climb from `from` (at height `fromLevel`) to the lowest node whose
@@ -234,39 +305,40 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
 
   // ---- interleave & bulk split ----------------------------------------------
 
-  /** Merge treelets [from, until) of `cur` (time-sorted, targeting
-    * `node`) with the node's entries into the scratch area and return
-    * the merged entry count; recompute treelets in the run are skipped
-    * here (the caller refreshes aggregates). Children carried by treelets
-    * land right of their entry. Linear in the combined length — no
-    * sorting. The node itself is left unchanged.
+  /** Merge the insertion treelets among [from, until) of `cur`
+    * (time-sorted, targeting `node`) with the node's entries, back to
+    * front, into `dT`/`dV`/`dC` (entry i at `dT`/`dV`(i), the child left of
+    * it at `dC`(i)): the node's own arrays when the `total` merged entries
+    * fit, the scratch area when they overflow. Recompute treelets in the
+    * run are skipped (the caller refreshes aggregates). Children carried
+    * by treelets land right of their entry. Linear in the merged length —
+    * no sorting. The caller sets the node's count after a merge in place.
     */
-  private def interleave(node: FibaNode[V], from: Int, until: Int): Int = {
-    val need = node.n + (until - from)
-    if (scrT.length < need) {
-      val cap = math.max(need, 2 * scrT.length)
-      scrT = new Array[Long](cap); scrV = new Array[AnyRef](cap); scrC = new Array[FibaNode[V]](cap + 1)
-    }
+  private def interleave(node: FibaNode[V], from: Int, until: Int, total: Int,
+                         dT: Array[Long], dV: Array[AnyRef], dC: Array[FibaNode[V]]): Unit = {
     val leaf = node.isLeaf
-    if (!leaf) scrC(0) = node.children(0)
-    var out = 0
-    var oi = 0    // original entry cursor
-    var ti = from // treelet cursor
-    while (oi < node.n || ti < until) {
-      if (ti < until && cur.recompute(ti)) ti += 1
-      else if (ti < until && (oi >= node.n || cur.time(ti) < node.times(oi))) {
-        scrT(out) = cur.time(ti); scrV(out) = cur.value(ti)
-        if (!leaf) scrC(out + 1) = cur.child(ti)
-        out += 1; ti += 1
+    var out = total - 1
+    var oi = node.n - 1 // original entry cursor
+    var ti = until - 1  // treelet cursor
+    while (ti >= from) {
+      if (cur.recompute(ti)) ti -= 1
+      else if (oi >= 0 && node.times(oi) > cur.time(ti)) {
+        dT(out) = node.times(oi); dV(out) = node.values(oi)
+        if (!leaf) dC(out + 1) = node.children(oi + 1)
+        out -= 1; oi -= 1
       } else {
-        if (ti < until && cur.time(ti) == node.times(oi))
+        if (oi >= 0 && node.times(oi) == cur.time(ti))
           throw new AssertionError("bulk insert: collision not combined in step 1")
-        scrT(out) = node.times(oi); scrV(out) = node.values(oi)
-        if (!leaf) scrC(out + 1) = node.children(oi + 1)
-        out += 1; oi += 1
+        dT(out) = cur.time(ti); dV(out) = cur.value(ti)
+        if (!leaf) { val c = cur.child(ti); c.parent = node; dC(out + 1) = c }
+        out -= 1; ti -= 1
       }
     }
-    out
+    if (dT ne node.times) { // the node's first oi + 1 entries and child 0 are not in place
+      System.arraycopy(node.times, 0, dT, 0, oi + 1)
+      System.arraycopy(node.values, 0, dV, 0, oi + 1)
+      if (!leaf) System.arraycopy(node.children, 0, dC, 0, oi + 2)
+    }
   }
 
   /** Split an overflowed merge (`total` > 2µ-1 entries in the scratch
@@ -281,15 +353,24 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
   private def bulkSplitAndPromote(node: FibaNode[V], total: Int, level: Int): FibaNode[V] = {
     val mu = minArity
     val grewRoot = node eq root
-    if (grewRoot) growRoot(node)
+    if (grewRoot) { // a fresh root takes the node as its only child c0, the left-spine top
+      root = allocNode(leaf = false)
+      root.children(0) = node
+      node.parent = root
+      node.leftSpine = true
+      if (node.isLeaf) leftFinger = node
+    }
     val parent = node.parent
-    val wasRightSpine = node.rightSpine
 
     // piece sizes: q pieces of µ entries, one final piece of r entries
     var r = total
     var q = 0
     while (r > maxEntries) { r -= (mu + 1); q += 1 }
 
+    // Middle pieces are never on a spine: they get their up aggregate at
+    // once. Spine pieces (the first on the left spine, the last on the
+    // right spine) are repaired by the pass down; their formulas never
+    // read a spine child's aggregate.
     node.load(scrT, scrV, scrC, 0, mu)
     var cursor = mu // scratch index of the next separator
     var last = node
@@ -299,29 +380,20 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] with FibaSingleOps[V] =>
       nxt.add(parent, scrT(cursor), scrV(cursor), np, level + 1, rc = false)
       val take = if (pi < q) mu else r
       np.load(scrT, scrV, scrC, cursor + 1, take)
+      if (pi < q) np.agg = upAgg(np)
       cursor += take + 1
       last = np
       pi += 1
     }
 
-    // spine flags and fingers: the last piece inherits right-spine status
-    // (a just-grown root's last piece becomes the right-spine top).
-    if (wasRightSpine || grewRoot) {
+    // the last piece inherits right-spine status and the right finger (a
+    // just-grown root's last piece becomes the right-spine top)
+    if (node.rightSpine || grewRoot) {
       node.rightSpine = false
       last.rightSpine = true
       if (last.isLeaf) rightFinger = last
-    }
-
-    // Up aggregates for every non-spine piece. Spine pieces (the first on
-    // the left spine, the last on the right spine) are repaired by the
-    // pass down; their formulas never read a spine child's aggregate.
+    } else last.agg = upAgg(last)
     if (!node.leftSpine && !node.rightSpine) node.agg = upAgg(node)
-    var nTl = nxt.size - q
-    while (nTl < nxt.size) {
-      val pc = nxt.child(nTl)
-      if (!pc.leftSpine && !pc.rightSpine) pc.agg = upAgg(pc)
-      nTl += 1
-    }
     last
   }
 }

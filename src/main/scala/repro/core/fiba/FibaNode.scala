@@ -4,13 +4,13 @@ package repro.core.fiba
   *
   * Entries live in the first `n` slots of two parallel fixed-capacity
   * arrays: `times` (primitive longs) and `values` (erased `V`s). Both hold
-  * `cap` = MAX_ARITY slots: one more than a node may keep between
-  * operations, for the transient overflow of a single insert before its
-  * split. A non-leaf node's `n + 1` children sit in the first slots of
-  * `children` (capacity `cap + 1`); a leaf has no children array. Slots
+  * `cap` = MAX_ARITY-1 slots, the most entries a node may keep. A
+  * non-leaf node's `n + 1` children sit in the first slots of `children`
+  * (capacity `cap + 1` = MAX_ARITY); a leaf has no children array. Slots
   * past the count are always null, so a node never pins evicted values or
-  * subtrees, and arrays never grow: bulk insert merges overflow in the
-  * tree's scratch area instead (`FibaBulkInsertOps`).
+  * subtrees, and a node never overflows: an insert that would overflow it
+  * merges in the tree's scratch area and splits from there
+  * (`FibaBulkInsertOps`).
   *
   * `agg` is the node's location-sensitive partial aggregate: up aggregate
   * Π↑ for non-spine non-root nodes, left aggregate Π↙ on the left spine,
@@ -65,18 +65,11 @@ final class FibaNode[V](leaf: Boolean, cap: Int) {
     if (rightChild != null) { rightChild.parent = this; children(n) = rightChild }
   }
 
-  /** Insert an entry at `idx`; a non-leaf also gets `rightChild` at
-    * child slot idx+1.
-    */
-  def insertAt(idx: Int, t: Long, v: AnyRef, rightChild: FibaNode[V]): Unit = {
+  /** Insert an entry at `idx` of a leaf that has room for it. */
+  def insertAt(idx: Int, t: Long, v: AnyRef): Unit = {
     System.arraycopy(times, idx, times, idx + 1, n - idx)
     System.arraycopy(values, idx, values, idx + 1, n - idx)
     times(idx) = t; values(idx) = v
-    if (rightChild != null) {
-      System.arraycopy(children, idx + 1, children, idx + 2, n - idx)
-      rightChild.parent = this
-      children(idx + 1) = rightChild
-    }
     n += 1
   }
 
@@ -96,19 +89,13 @@ final class FibaNode[V](leaf: Boolean, cap: Int) {
     n = left
   }
 
-  /** Keep the first k entries (and k+1 children); null the rest. */
-  def truncate(k: Int): Unit = {
-    FibaNode.nullOut(values, k, n)
-    if (children != null) FibaNode.nullOut(children, k + 1, n + 1)
-    n = k
-  }
-
   /** Drop every entry and child reference (the node is being freed
     * after its contents moved elsewhere).
     */
   def clear(): Unit = {
-    truncate(0)
-    if (children != null) children(0) = null
+    FibaNode.nullOut(values, 0, n)
+    if (children != null) FibaNode.nullOut(children, 0, n + 1)
+    n = 0
   }
 
   /** Replace the contents with `count` entries of `srcT`/`srcV` starting
@@ -131,11 +118,9 @@ final class FibaNode[V](leaf: Boolean, cap: Int) {
 
   /** Reset to a blank node of the given kind, for reuse from the free list. */
   def reset(leaf: Boolean): Unit = {
-    FibaNode.nullOut(values, 0, n)
+    clear()
     if (leaf) children = null
     else if (children == null) children = new Array[FibaNode[V]](times.length + 1)
-    else FibaNode.nullOut(children, 0, n + 1)
-    n = 0
     parent = null; leftSpine = false; rightSpine = false
     agg = null.asInstanceOf[V]
   }

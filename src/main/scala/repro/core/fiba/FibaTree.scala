@@ -2,16 +2,17 @@ package repro.core.fiba
 
 import repro.core.{Monoid, Swag}
 
-/** The complete FiBA finger B-tree: single insert (`FibaSingleOps`),
-  * native bulk eviction (§4, `FibaBulkEvictOps`, which is also single
-  * evict at m = 1) and bulk insertion (§5, `FibaBulkInsertOps`).
+/** The complete FiBA finger B-tree: native bulk eviction (§4,
+  * `FibaBulkEvictOps`, which is also single evict at m = 1) and bulk
+  * insertion (§5, `FibaBulkInsertOps`, which is also single insert: §6's
+  * small insertion in place, and a full leaf's split through §5's pass
+  * up).
   * `useFreeList = false` reproduces the paper's "nofl" memory-management
   * ablation (Fig 10): evicted subtrees are reclaimed eagerly, costing
   * O(m) per bulk evict instead of O(log m).
   */
 final class FibaTree[V](minArity0: Int, monoid0: Monoid[V], useFreeList0: Boolean = true)
     extends FibaBase[V](minArity0, monoid0, useFreeList0)
-    with FibaSingleOps[V]
     with FibaBulkEvictOps[V]
     with FibaBulkInsertOps[V]
 

@@ -25,10 +25,16 @@ class FibaEdgeSpec extends AnyFunSuite {
   test("root leaf grows into a tree and shrinks back to a root leaf") {
     // Out of order, the tree's shape differs, so single evicts also meet
     // moves and merges against the right-spine top under a 2-ary root.
-    for (minArity <- Seq(2, 3, 4, 8); inOrder <- Seq(true, false)) {
-      val ctx = s"minArity=$minArity inOrder=$inOrder"
+    // Descending, every insert lands in the left finger, so split
+    // cascades climb the left spine and grow the root from there.
+    for (minArity <- Seq(2, 3, 4, 8); order <- Seq("ascending", "shuffled", "descending")) {
+      val ctx = s"minArity=$minArity order=$order"
       val n = 64L * minArity
-      val ts = if (inOrder) (1L to n) else new scala.util.Random(minArity).shuffle((1L to n).toVector)
+      val ts = order match {
+        case "ascending"  => (1L to n)
+        case "shuffled"   => new scala.util.Random(minArity).shuffle((1L to n).toVector)
+        case "descending" => (n to 1L by -1L)
+      }
       val t = new FibaTree[Vector[Long]](minArity, ConcatM)
       for (i <- ts) { t.insertOne(i, Vector(i)); t.validate() }
       for (k <- 1L until n) {
