@@ -57,36 +57,45 @@ trait Swag[V] {
     while (i < until) { insert(times(i), values(i)); i += 1 }
   }
 
-  // the tuple adapter's unpacked bulk, reused across calls, and the entries
-  // carried since the last bulk of at least a quarter of its capacity
+  // the tuple adapter's unpacked bulk, reused across calls
   private[this] var tupT = Array.emptyLongArray
   private[this] var tupV = Array.empty[AnyRef]
-  private[this] var tupIdle = 0L
 
   /** Insert a timestamp-ordered bulk given as pairs: unpacks it into two
     * buffers reused across calls and inserts it as one slice. The buffers
-    * grow to fit, and shrink to twice the bulk once bulks under a quarter
-    * of their capacity have carried a quarter of it: a huge first bulk (a
-    * prefill) is not pinned, and alternating sizes do not reallocate.
+    * grow to fit and are dropped after a bulk that grew them past
+    * [[Swag.RetainedBulk]], so a huge bulk (a prefill) is not pinned.
     */
   final def bulkInsert(entries: IndexedSeq[(Long, V)]): Unit = {
     val m = entries.length
-    if (4L * m >= tupT.length) tupIdle = 0 else tupIdle += m
-    if (tupT.length < m || 4 * tupIdle > tupT.length) {
-      val cap = if (tupT.length < m) math.max(m, 2 * tupT.length) else 2 * m
+    if (tupT.length < m) {
+      val cap = math.max(m, 2 * tupT.length)
       tupT = new Array[Long](cap); tupV = new Array[AnyRef](cap)
-      tupIdle = 0
     }
     var i = 0
     while (i < m) { val e = entries(i); tupT(i) = e._1; tupV(i) = e._2.asInstanceOf[AnyRef]; i += 1 }
     // every implementation is generic in V, where Array[V] erases to Object
     try bulkInsert(tupT, tupV.asInstanceOf[Array[V]], 0, m)
-    finally java.util.Arrays.fill(tupV, 0, m, null)
+    finally {
+      if (tupT.length > Swag.RetainedBulk) { tupT = Array.emptyLongArray; tupV = Array.empty[AnyRef] }
+      else java.util.Arrays.fill(tupV, 0, m, null)
+    }
   }
+
+  /** Entries the largest bulk buffer reused across calls can hold. */
+  private[core] def retainedBulkEntries: Int = tupT.length
 
   /** Full window contents in timestamp order, if the algorithm can
     * enumerate them (FiBA and the brute-force reference can; the
     * aggregate-only stacks cannot). Used for streaming checkpoints.
     */
   def snapshot(): Option[IndexedSeq[(Long, V)]] = None
+}
+
+private[core] object Swag {
+  /** Bulk buffers reused across calls keep at most this many entries
+    * between bulks; one that grew past it is dropped. It is above every
+    * bulk the figures and the benchmark slide by (m <= 4096).
+    */
+  final val RetainedBulk = 1 << 14
 }

@@ -16,9 +16,12 @@ package repro.core.fiba
   *     popping the ancestor it climbs on past `s` up the left spine, where
   *     each node is c0 and its neighbor is its right sibling;
   *  3. a *pass down* the new left spine from the highest node the pass up
-  *     changed (and the right spine when a move drained it) repairing
-  *     location-sensitive aggregates and flags.
+  *     changed, `s` at the lowest (and the right spine when a move drained
+  *     it) repairing location-sensitive aggregates and flags.
   *
+  * A cut that leaves nothing takes the same steps: `s` is the root, the
+  * cut runs down the right spine, and the root shrink (Figs 4/5) makes the
+  * emptied rightmost leaf the root.
   * A cut inside the left finger that leaves it at arity skips all three:
   * it drops the entries and repairs the finger alone (§6).
   */
@@ -40,7 +43,6 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] =>
   /** Remove every entry with timestamp <= t. */
   final def bulkEvictNative(t: Long): Unit = {
     if (isEmpty || t < oldestTime) return
-    if (t >= youngestTime) { clearAll(); return }
 
     // Small-eviction fast paths (§6 spirit): no boundary bookkeeping when
     // the cut stays inside one leaf that keeps its arity — the dominant
@@ -107,7 +109,9 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] =>
     // `node` is nodes(l) inside the boundary; above s = nodes(0) (l = -1)
     // it is a left-spine node whose ancestor a merge popped.
     val s = nodes(0)
-    var top = if (s eq root) root else s.parent // highest node changed
+    // Highest node changed. s is c0 of its parent, which neither Π̂ nor Π↙
+    // reads; a move or merge that reaches the parent raises it below.
+    var top = s
     var newRootInstalled = false
     var rightDirtyTop: FibaNode[V] = null // a move drained a right-spine neighbor
 
@@ -198,15 +202,6 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] =>
       repairLeftSpineFrom(root.children(0))
     } else repairLeftSpineFrom(top)
     if (rightDirtyTop != null) repairRightSpineFrom(rightDirtyTop)
-  }
-
-  /** Evict everything: reset to an empty root leaf. */
-  protected final def clearAll(): Unit = {
-    freeNode(root)
-    root = allocNode(leaf = true)
-    root.agg = monoid.identity
-    leftFinger = root
-    rightFinger = root
   }
 
   // ---- batch rebalancing primitives (paper Figs 18 & 19) -------------------

@@ -1,5 +1,7 @@
 package repro.core.fiba
 
+import repro.core.Swag
+
 /** Pending events of one level of bulk insertion's pass up, as parallel
   * arrays reused across levels and calls. Event i targets `target(i)`
   * at height `level(i)` above the leaves (0 = leaf); recompute-only
@@ -66,12 +68,17 @@ private[fiba] final class Treelets[V] {
   *     highest spine node touched per side starts the walk, so in-order
   *     bulks never pay more than the treelet height.
   *
+  * A bulk into an empty window takes the same three steps: every site is
+  * the root leaf, so the pass up is a bottom-up bulk load in O(m), with
+  * each piece's Π↑ computed once as it is cut.
+  *
   * Nothing is allocated per entry: the bulk is read in place from the
   * caller's arrays, treelets live in two reused [[Treelets]] buffers (this
   * level's and the next), and an interleave that fits merges straight
-  * into its node; one that overflows merges into one scratch area that
-  * grows to the largest merge seen, and `bulkSplit` cuts its pieces
-  * straight out of it into fixed-size nodes.
+  * into its node; one that overflows merges into one scratch area, and
+  * `bulkSplit` cuts its pieces straight out of it into fixed-size nodes.
+  * The treelet buffers and the scratch area grow to fit, and one that grew
+  * past [[Swag.RetainedBulk]] entries is dropped once it is emptied.
   */
 trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
 
@@ -79,9 +86,9 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
   private var cur = new Treelets[V]
   private var nxt = new Treelets[V]
   // interleave scratch: entry i at scrT/scrV(i), child left of it at scrC(i)
-  private var scrT = new Array[Long](16)
-  private var scrV = new Array[AnyRef](16)
-  private var scrC = new Array[FibaNode[V]](17)
+  private var scrT = Array.emptyLongArray
+  private var scrV = Array.empty[AnyRef]
+  private var scrC = new Array[FibaNode[V]](1)
 
   /** Height above the leaves of the node [[fingerSearchTop]] or
     * [[ascendToCover]] last returned.
@@ -138,19 +145,27 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
     if (m == 1) insertOne(times(from), values(from)) // "small insertion" (§6): no site search
     else if (m > 1) {
       try insertSorted(times, values, from, until)
-      finally { cur.clear(); nxt.clear() } // drop references; also resets the buffers if a check threw
+      finally { cur = emptied(cur); nxt = emptied(nxt) } // also resets the buffers if a check threw
     }
+  }
+
+  /** Entries the largest bulk buffer reused across calls can hold. */
+  private[core] final def retainedBulkEntries: Int = scrT.length max cur.time.length max nxt.time.length
+
+  /** `b` cleared for reuse, or a fresh buffer if it grew past the bound. */
+  private def emptied(b: Treelets[V]): Treelets[V] =
+    if (b.time.length > Swag.RetainedBulk) new Treelets[V] else { b.clear(); b }
+
+  private def newScratch(cap: Int): Unit = {
+    scrT = new Array[Long](cap); scrV = new Array[AnyRef](cap); scrC = new Array[FibaNode[V]](cap + 1)
   }
 
   /** Insert the slice [from, until) (≥ 2 entries) of `times`/`values`. */
   private def insertSorted(times: Array[Long], values: Array[V], from: Int, until: Int): Unit = {
-    if (isEmpty) { // empty window: plain appends, d = 0
-      var i = from
-      while (i < until) { insertOne(times(i), values(i)); i += 1 }
-      return
-    }
-
     // ---- Step 1: insertion-sites search (successor-style LCA hopping).
+    // Step 1 adds no timestamp, so the youngest one holds throughout; an
+    // empty window has none, and every site is its root leaf.
+    val youngest = if (isEmpty) Long.MaxValue else youngestTime
     var prevSite: FibaNode[V] = null
     var prevLevel = 0
     var i = from
@@ -160,7 +175,7 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
       // Appends (the common in-order case) go straight through the right
       // finger in O(1); other entries hop to the LCA of consecutive sites.
       var node =
-        if (prevSite == null || t > youngestTime) fingerSearchTop(t)
+        if (prevSite == null || t > youngest) fingerSearchTop(t)
         else ascendToCover(prevSite, prevLevel, t)
       var level = searchTopLevel
       var placed = false
@@ -211,14 +226,14 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
           val total = target.n + inserts
           var lastPiece: FibaNode[V] = null
           if (total > maxEntries) {
-            if (scrT.length < total) {
-              val cap = math.max(total, 2 * scrT.length)
-              scrT = new Array[Long](cap); scrV = new Array[AnyRef](cap); scrC = new Array[FibaNode[V]](cap + 1)
-            }
+            if (scrT.length < total) newScratch(math.max(total, 2 * scrT.length))
             interleave(target, j, k, total, scrT, scrV, scrC)
             lastPiece = bulkSplitAndPromote(target, total, level)
-            FibaNode.nullOut(scrV, 0, total)
-            if (!target.isLeaf) FibaNode.nullOut(scrC, 0, total + 1)
+            if (scrT.length > Swag.RetainedBulk) newScratch(0)
+            else {
+              FibaNode.nullOut(scrV, 0, total)
+              if (!target.isLeaf) FibaNode.nullOut(scrC, 0, total + 1)
+            }
           } else {
             if (inserts > 0) {
               interleave(target, j, k, total, target.times, target.values, target.children)
@@ -241,8 +256,7 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
           j = k
         }
       }
-      cur.clear()
-      val swap = cur; cur = nxt; nxt = swap
+      val done = emptied(cur); cur = nxt; nxt = done
       level += 1
     }
 

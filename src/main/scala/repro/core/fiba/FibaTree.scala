@@ -32,6 +32,7 @@ sealed abstract class FibaSwag[V](minArity: Int, val monoid: Monoid[V], useFreeL
   def insert(t: Long, v: V): Unit = tree.insertOne(t, v)
   def evict(): Unit = tree.evictOldest()
   override def snapshot(): Option[IndexedSeq[(Long, V)]] = Some(tree.toEntries)
+  override private[core] def retainedBulkEntries: Int = super.retainedBulkEntries max tree.retainedBulkEntries
 
   /** Expose the tree for invariant checks in tests. */
   def underlying: FibaTree[V] = tree

@@ -83,7 +83,7 @@ object FibaStreaming {
     var watermark = Long.MinValue
     if (algo == null) {
       algo = makeAlgo(algoName, monoid)
-      state.getOption.foreach { snap => // recovery: rebuild via one bulk insert
+      state.getOption.foreach { snap => // recovery: one bulk insert, a bottom-up bulk load
         watermark = snap.watermark
         algo.bulkInsert(snap.times, snap.values, 0, snap.times.length)
       }

@@ -187,16 +187,55 @@ class FibaEdgeSpec extends AnyFunSuite {
   }
 
   test("query after alternating growth and total clears") {
-    val t = new FibaTree[Vector[Long]](2, ConcatM)
-    for (round <- 1 to 15) {
-      val base = round * 1000L
-      t.bulkInsertPairs((0L until 300L).map(i => (base + i, Vector(base + i))))
-      t.validate()
-      assert(t.sizeByTraversal == 300)
-      t.bulkEvictNative(base + 299)
-      t.validate()
-      assert(t.isEmpty)
+    // Every load goes into an empty window, so it is the bottom-up bulk
+    // load, at sizes that fit the root leaf, overflow it into two pieces,
+    // and build trees of three levels and more; every clear is §4's total
+    // eviction, cut at the youngest entry and past it.
+    for (minArity <- Seq(2, 3, 4, 8);
+         m <- Seq(2, 2 * minArity - 1, 2 * minArity, 2 * minArity + 1, 300, 5000)) {
+      val ctx = s"minArity=$minArity m=$m"
+      val t = new FibaTree[Vector[Long]](minArity, ConcatM)
+      for (round <- 1 to 3) {
+        val base = round * 10000L
+        t.bulkInsertPairs((0L until m).map(i => (base + i, Vector(base + i))))
+        t.validate()
+        assert(t.queryAgg() == (base until base + m).toVector, ctx)
+        t.bulkEvictNative(base + m - 1 + round % 2)
+        t.validate()
+        assert(t.isEmpty && t.queryAgg() == Vector.empty, ctx)
+      }
     }
+  }
+
+  test("a bulk into an empty window costs at most 1.5 combines per entry") {
+    for (minArity <- Seq(2, 3, 4, 8)) {
+      var combines = 0L
+      val counting = new Monoid[Long] {
+        val identity = 0L
+        def combine(x: Long, y: Long): Long = { combines += 1; x + y }
+        val name = "counting"
+      }
+      val t = new FibaTree[Long](minArity, counting)
+      val m = 1 << 14
+      val times = Array.tabulate(m)(_.toLong)
+      t.bulkInsertNative(times, times, 0, m)
+      val perEntry = combines.toDouble / m
+      info(f"minArity=$minArity: $perEntry%.2f combines per entry")
+      assert(perEntry <= 1.5, s"minArity=$minArity")
+      assert(t.queryAgg() == times.sum)
+      t.validate()
+    }
+  }
+
+  test("no reused bulk buffer holds more than the bound after a huge bulk") {
+    val fiba = new BFiba[Long](4, CountL)
+    val n = 1L << 16
+    fiba.bulkInsert((0L until n).map(i => (i, i)))
+    assert(fiba.retainedBulkEntries <= Swag.RetainedBulk)
+    fiba.bulkInsert((n until n + 64).map(i => (i, i)))
+    assert(fiba.retainedBulkEntries <= Swag.RetainedBulk)
+    fiba.underlying.validate()
+    assert(fiba.query() == (0L until n + 64).sum)
   }
 
   test("min/max time track the fingers under mixed bulks") {
