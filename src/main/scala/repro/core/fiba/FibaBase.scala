@@ -12,6 +12,11 @@ import repro.core.Monoid
   *  - aggregates: root stores Π̂ (inner), left-spine nodes Π↙, right-spine
   *    nodes Π↘, and everything else Π↑ (up), so `query()` is
   *    Π↙(leftFinger) ⊗ Π̂(root) ⊗ Π↘(rightFinger) — constant time.
+  *
+  * Every update ends in the same step 3, [[passDown]]: bulk evict (§4),
+  * bulk insert (§5) and §6's small updates (through [[repairUpFrom]]) each
+  * name the root and the highest spine nodes they touched, and it repairs
+  * Π̂(root), Π↙, Π↘, the spine flags and the fingers from there.
   */
 abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFreeList: Boolean) {
   require(minArity >= 2, "MIN_ARITY must be > 1")
@@ -140,11 +145,9 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
 
   // ---- aggregate repair ----------------------------------------------------
 
-  /** Repair stored aggregates from `n` upward: recompute up aggregates
-    * until the first spine/root ancestor, then repair that node and the
-    * spine below it (spine aggregates depend on the parent, so they are
-    * repaired top-down toward the finger). Matches FiBA's pass-up +
-    * pass-down discipline for a single local change at `n`.
+  /** Repair stored aggregates after a local change at `n` (§6): recompute
+    * up aggregates until the first spine or root ancestor, then hand that
+    * node to the pass down.
     */
   protected final def repairUpFrom(n: FibaNode[V]): Unit = {
     var cur = n
@@ -152,16 +155,36 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
       cur.agg = upAgg(cur)
       cur = cur.parent
     }
-    if (cur eq root) root.agg = innerAgg(root)
-    else if (cur.leftSpine) repairLeftSpineFrom(cur)
-    else repairRightSpineFrom(cur)
+    passDown(cur eq root, if (cur.leftSpine) cur else null, if (cur.rightSpine) cur else null)
+  }
+
+  /** Step 3 of every update (§4, §5; §6's small updates are its one-node
+    * case): recompute Π̂(root) when the root was touched or is a top, then
+    * repair each non-null spine from its top down to the finger, refreshing
+    * spine flags and re-aiming the finger. A top equal to the root stands
+    * for the root and that whole spine; a root leaf gets both fingers. Spine
+    * aggregates read their parent's, so each walk runs top-down, and the
+    * spine nodes above a top must already be valid.
+    */
+  protected final def passDown(rootTouched: Boolean, leftTop: FibaNode[V], rightTop: FibaNode[V]): Unit = {
+    if (rootTouched || (leftTop eq root) || (rightTop eq root)) {
+      // a root that changed identity may still point up and carry the
+      // flags of the spine it came from
+      root.parent = null; root.leftSpine = false; root.rightSpine = false
+      root.agg = innerAgg(root)
+    }
+    if (root.isLeaf) { leftFinger = root; rightFinger = root }
+    else {
+      if (leftTop != null) repairLeftSpineFrom(if (leftTop eq root) root.children(0) else leftTop)
+      if (rightTop != null) repairRightSpineFrom(if (rightTop eq root) root.lastChild else rightTop)
+    }
   }
 
   /** Recompute Π↙ top-down from `top` (a left-spine node whose parent's
     * aggregate is already valid) to the leftmost leaf; refreshes spine
     * flags along the walk and re-aims the left finger.
     */
-  protected final def repairLeftSpineFrom(top: FibaNode[V]): Unit = {
+  private def repairLeftSpineFrom(top: FibaNode[V]): Unit = {
     var cur = top
     while (true) {
       cur.leftSpine = true
@@ -172,30 +195,13 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
   }
 
   /** Mirror image of [[repairLeftSpineFrom]] for the right spine. */
-  protected final def repairRightSpineFrom(top: FibaNode[V]): Unit = {
+  private def repairRightSpineFrom(top: FibaNode[V]): Unit = {
     var cur = top
     while (true) {
       cur.rightSpine = true
       cur.agg = rightAgg(cur)
       if (cur.isLeaf) { rightFinger = cur; return }
       cur = cur.lastChild
-    }
-  }
-
-  /** Full repair after the root node changed identity (shrink/grow):
-    * recompute Π̂(root) and both spines from the top.
-    */
-  protected final def repairFromNewRoot(): Unit = {
-    root.parent = null
-    root.leftSpine = false
-    root.rightSpine = false
-    if (root.isLeaf) {
-      leftFinger = root; rightFinger = root
-      root.agg = innerAgg(root)
-    } else {
-      root.agg = innerAgg(root)
-      repairLeftSpineFrom(root.children(0))
-      repairRightSpineFrom(root.lastChild)
     }
   }
 

@@ -15,15 +15,18 @@ package repro.core.fiba
   *     merges (Fig 19), or tree shrinking (Figs 4/5); while merges keep
   *     popping the ancestor it climbs on past `s` up the left spine, where
   *     each node is c0 and its neighbor is its right sibling;
-  *  3. a *pass down* the new left spine from the highest node the pass up
-  *     changed, `s` at the lowest (and the right spine when a move drained
-  *     it) repairing location-sensitive aggregates and flags.
+  *  3. the shared *pass down* ([[FibaBase.passDown]]) along the new left
+  *     spine from the highest node the pass up changed, `s` at the lowest
+  *     (and the right spine when a move drained it), or along both spines
+  *     when the root shrank.
   *
-  * A cut that leaves nothing takes the same steps: `s` is the root, the
-  * cut runs down the right spine, and the root shrink (Figs 4/5) makes the
-  * emptied rightmost leaf the root.
-  * A cut inside the left finger that leaves it at arity skips all three:
-  * it drops the entries and repairs the finger alone (§6).
+  * The root shrinks by one rule: a node left below arity with nothing to
+  * its right becomes the root (Fig 4), and a root left with one child
+  * hands the root to that child (Fig 5). A cut that leaves nothing takes
+  * the same steps: `s` is the root, the cut runs down the right spine, and
+  * the emptied rightmost leaf becomes the root.
+  * A cut inside the left finger that leaves it at arity skips steps 1 and
+  * 2: it drops the entries and passes down from the finger alone (§6).
   */
 trait FibaBulkEvictOps[V] { self: FibaBase[V] =>
 
@@ -44,18 +47,13 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] =>
   final def bulkEvictNative(t: Long): Unit = {
     if (isEmpty || t < oldestTime) return
 
-    // Small-eviction fast paths (§6 spirit): no boundary bookkeeping when
+    // Small-eviction fast path (§6 spirit): no boundary bookkeeping when
     // the cut stays inside one leaf that keeps its arity — the dominant
     // case on real streams.
-    if (root.isLeaf) {
-      root.dropFront(root.evictCount(t))
-      root.agg = innerAgg(root)
-      return
-    }
     val idx = leftFinger.evictCount(t) // the whole finger when the cut leaves it
     if (leftFinger.n - idx >= minArity - 1) { // no underflow at all
       leftFinger.dropFront(idx)
-      repairLeftSpineFrom(leftFinger)
+      passDown(rootTouched = false, leftFinger, null)
       return
     }
 
@@ -103,7 +101,7 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] =>
   }
 
   /** Step 2: the pass up over the `depth` levels of the cut — local
-    * evictions and arity repair — handing off to step 3.
+    * evictions and arity repair — then step 3.
     */
   private def passUp(depth: Int): Unit = {
     // `node` is nodes(l) inside the boundary; above s = nodes(0) (l = -1)
@@ -112,7 +110,7 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] =>
     // Highest node changed. s is c0 of its parent, which neither Π̂ nor Π↙
     // reads; a move or merge that reaches the parent raises it below.
     var top = s
-    var newRootInstalled = false
+    val rootAtStart = root
     var rightDirtyTop: FibaNode[V] = null // a move drained a right-spine neighbor
 
     var l = depth - 1
@@ -136,7 +134,6 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] =>
           root = root.children(0)
           node.children(0) = null
           freeNode(node)
-          newRootInstalled = true
         }
         done = true
       } else if (node.arity >= minArity) {
@@ -144,20 +141,14 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] =>
         if (!done) { l -= 1; node = nodes(l) }
       } else if (neighbor == null) {
         // Nothing survives to the right at any level above (only possible
-        // when s is the root): the tree shrinks — Figs 4/5.
-        if (!node.isLeaf && node.arity == 1) {
-          root = node.children(0) // make child root
-          node.children(0) = null
-          // node stays attached under the dead upper path; freed with it
-        } else {
-          // make node root: detach it from the dead upper path first
-          val p = node.parent
-          p.children(p.childSlot(node)) = null
-          root = node
-        }
+        // when s is the root): Fig 4 makes node the root, detached from the
+        // dead upper path first, and the next turn's root check (Fig 5)
+        // promotes its only child if it has one.
+        val p = node.parent
+        p.children(p.childSlot(node)) = null
+        root = node
         freeNode(nodes(0)) // the old root and its whole remaining (dead) path
-        newRootInstalled = true
-        done = true
+        evictHere = false
       } else {
         val ancestor = if (l >= 0) ancestors(l) else node.parent
         val aLvl = if (l >= 0) ancLevels(l) else -1
@@ -188,20 +179,9 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] =>
       }
     }
 
-    if (newRootInstalled) repairFromNewRoot()
-    else passDown(top, rightDirtyTop)
-  }
-
-  /** Step 3: the pass down — spine aggregates, flags, fingers — from the
-    * highest node the pass up changed, and on the right spine from the
-    * neighbor a move drained there (or null).
-    */
-  private def passDown(top: FibaNode[V], rightDirtyTop: FibaNode[V]): Unit = {
-    if (top eq root) {
-      root.agg = innerAgg(root)
-      repairLeftSpineFrom(root.children(0))
-    } else repairLeftSpineFrom(top)
-    if (rightDirtyTop != null) repairRightSpineFrom(rightDirtyTop)
+    // Step 3; a root that changed identity has both spines hang fresh off it.
+    if (root ne rootAtStart) passDown(rootTouched = true, root, root)
+    else passDown(rootTouched = false, top, rightDirtyTop)
   }
 
   // ---- batch rebalancing primitives (paper Figs 18 & 19) -------------------

@@ -64,9 +64,10 @@ private[fiba] final class Treelets[V] {
   *     merge sort), and `bulkSplit` any overflowed node into arity-(µ+1)
   *     nodes plus one arity-[µ,2µ] node (Claim 1), promoting separators
   *     as next-level treelets — which stay timestamp-sorted for free.
-  *  3. *pass down* the touched spines, repairing Π↙/Π↘ and flags; the
-  *     highest spine node touched per side starts the walk, so in-order
-  *     bulks never pay more than the treelet height.
+  *  3. the shared *pass down* ([[FibaBase.passDown]]) of the touched
+  *     spines, repairing Π̂(root), Π↙/Π↘ and flags; the highest spine node
+  *     touched per side starts the walk, so in-order bulks never pay more
+  *     than the treelet height, and a grown root repairs both spines.
   *
   * A bulk into an empty window takes the same three steps: every site is
   * the root leaf, so the pass up is a bottom-up bulk load in O(m), with
@@ -260,16 +261,10 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
       level += 1
     }
 
-    // ---- Step 3: pass down the touched spines. A grown root supersedes
-    // all lower markers: both spines hang freshly off the new root.
-    if (root ne rootAtStart) {
-      rootDirty = true
-      dirtyLeftTop = root.children(0)
-      dirtyRightTop = root.lastChild
-    }
-    if (rootDirty) root.agg = innerAgg(root)
-    if (dirtyLeftTop != null) repairLeftSpineFrom(dirtyLeftTop)
-    if (dirtyRightTop != null) repairRightSpineFrom(dirtyRightTop)
+    // Step 3. A grown root supersedes all lower markers: both spines hang
+    // fresh off it.
+    if (root ne rootAtStart) passDown(rootTouched = true, root, root)
+    else passDown(rootDirty, dirtyLeftTop, dirtyRightTop)
   }
 
   // ---- search --------------------------------------------------------------
@@ -360,9 +355,9 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
     * arity-[µ,2µ] piece (Claim 1), appending the promoted separators as
     * insertion treelets for the parent (a fresh root is grown first when
     * `node` is the root). The node keeps the first piece — preserving
-    * identity, left-spine flag, and left finger; the last piece inherits
-    * the right-spine flag and finger. Non-spine pieces get fresh up
-    * aggregates. Returns the last piece.
+    * identity and left-spine flag; the last piece inherits the right-spine
+    * flag. Non-spine pieces get fresh up aggregates; the pass down repairs
+    * spine pieces and re-aims the fingers. Returns the last piece.
     */
   private def bulkSplitAndPromote(node: FibaNode[V], total: Int, level: Int): FibaNode[V] = {
     val mu = minArity
@@ -372,7 +367,6 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
       root.children(0) = node
       node.parent = root
       node.leftSpine = true
-      if (node.isLeaf) leftFinger = node
     }
     val parent = node.parent
 
@@ -400,12 +394,11 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
       pi += 1
     }
 
-    // the last piece inherits right-spine status and the right finger (a
-    // just-grown root's last piece becomes the right-spine top)
+    // the last piece inherits right-spine status (a just-grown root's last
+    // piece becomes the right-spine top)
     if (node.rightSpine || grewRoot) {
       node.rightSpine = false
       last.rightSpine = true
-      if (last.isLeaf) rightFinger = last
     } else last.agg = upAgg(last)
     if (!node.leftSpine && !node.rightSpine) node.agg = upAgg(node)
     last

@@ -18,6 +18,14 @@ class FibaEdgeSpec extends AnyFunSuite {
     t
   }
 
+  /** Long sum that counts its combines. */
+  private final class CountingSum extends Monoid[Long] {
+    var combines = 0L
+    val identity = 0L
+    def combine(x: Long, y: Long): Long = { combines += 1; x + y }
+    val name = "counting"
+  }
+
   test("minArity below 2 is rejected") {
     intercept[IllegalArgumentException](new FibaTree[Vector[Long]](1, ConcatM))
   }
@@ -51,7 +59,7 @@ class FibaEdgeSpec extends AnyFunSuite {
   }
 
   test("bulkEvict cutting deep into the right spine replaces the root") {
-    for (minArity <- Seq(2, 3, 4); keep <- Seq(1, 2, 3, 5, 17)) {
+    for (minArity <- Seq(2, 3, 4, 8); keep <- Seq(1, 2, 3, 5, 17)) {
       val t = filled(minArity, 2000)
       t.bulkEvictNative(2000L - keep)
       t.validate()
@@ -61,11 +69,13 @@ class FibaEdgeSpec extends AnyFunSuite {
   }
 
   test("bulkEvict at every possible cut of a medium window stays valid") {
-    for (cut <- 0 to 120) {
-      val t = filled(2, 120)
+    // A root leaf (2µ-1 entries) meets the left-finger fast path while the
+    // cut leaves it µ-1 entries or more, and the general path below that.
+    for (minArity <- Seq(2, 3, 4, 8); n <- Seq(2 * minArity - 1, 120); cut <- 0 to n) {
+      val t = filled(minArity, n)
       t.bulkEvictNative(cut.toLong)
       t.validate()
-      assert(t.queryAgg() == ((cut + 1).toLong to 120L).toVector, s"cut=$cut")
+      assert(t.queryAgg() == ((cut + 1).toLong to n.toLong).toVector, s"minArity=$minArity n=$n cut=$cut")
     }
   }
 
@@ -209,21 +219,54 @@ class FibaEdgeSpec extends AnyFunSuite {
 
   test("a bulk into an empty window costs at most 1.5 combines per entry") {
     for (minArity <- Seq(2, 3, 4, 8)) {
-      var combines = 0L
-      val counting = new Monoid[Long] {
-        val identity = 0L
-        def combine(x: Long, y: Long): Long = { combines += 1; x + y }
-        val name = "counting"
-      }
+      val counting = new CountingSum
       val t = new FibaTree[Long](minArity, counting)
       val m = 1 << 14
       val times = Array.tabulate(m)(_.toLong)
       t.bulkInsertNative(times, times, 0, m)
-      val perEntry = combines.toDouble / m
+      val perEntry = counting.combines.toDouble / m
       info(f"minArity=$minArity: $perEntry%.2f combines per entry")
       assert(perEntry <= 1.5, s"minArity=$minArity")
       assert(t.queryAgg() == times.sum)
       t.validate()
+    }
+  }
+
+  test("in-order single insert, single evict and a 1024-entry bulkEvict keep their combine counts") {
+    // The loop reads 5.30 / 10.29 / 43.5 combines at minArity 4 and
+    // 5.64 / 17.24 / 146.3 at minArity 8. Each cap sits about 5% above, so
+    // a pass down that recomputes more than it needs fails here before any
+    // timing could show it.
+    for ((minArity, insertCap, evictCap, bulkEvictCap) <- Seq((4, 5.55, 10.8, 45.5), (8, 5.9, 18.1, 153.5))) {
+      val counting = new CountingSum
+      val t = new FibaTree[Long](minArity, counting)
+      val n = 1 << 14
+      val times = Array.tabulate(n)(_.toLong)
+      t.bulkInsertNative(times, times, 0, n)
+      def counted(op: => Unit): Long = { counting.combines = 0; op; counting.combines }
+      var top = n.toLong
+      var inserts, evicts = 0L
+      for (_ <- 0 until n) {
+        evicts += counted(t.evictOldest())
+        inserts += counted(t.insertOne(top, top))
+        top += 1
+      }
+      val m = 1024
+      val rounds = 16
+      var bulkEvicts = 0L
+      for (_ <- 0 until rounds) {
+        bulkEvicts += counted(t.bulkEvictNative(t.oldestTime + m - 1))
+        val bulk = Array.tabulate(m)(top + _)
+        t.bulkInsertNative(bulk, bulk, 0, m)
+        top += m
+      }
+      val (perInsert, perEvict, perBulkEvict) = (inserts.toDouble / n, evicts.toDouble / n, bulkEvicts.toDouble / rounds)
+      info(f"minArity=$minArity: $perInsert%.3f per insert, $perEvict%.3f per evict, $perBulkEvict%.2f per bulkEvict")
+      assert(perInsert <= insertCap, s"minArity=$minArity insert")
+      assert(perEvict <= evictCap, s"minArity=$minArity evict")
+      assert(perBulkEvict <= bulkEvictCap, s"minArity=$minArity bulkEvict")
+      t.validate()
+      assert(t.queryAgg() == (top - n until top).sum)
     }
   }
 
