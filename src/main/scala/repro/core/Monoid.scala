@@ -21,3 +21,23 @@ trait Monoid[V] extends Serializable {
   final def combineAll(vs: IterableOnce[V]): V =
     vs.iterator.foldLeft(identity)(combine)
 }
+
+/** A monoid whose values fit `width` longs. A FiBA tree over one keeps
+  * values and partial aggregates inline in `Array[Long]`s, as §6's nodes
+  * do, instead of boxing each one. Offsets count longs: a value occupies
+  * `[off, off + width)`.
+  */
+trait PackedMonoid[V] extends Monoid[V] {
+  def width: Int
+
+  /** Write `v` at `dst(di)`. */
+  def pack(v: V, dst: Array[Long], di: Int): Unit
+
+  /** The value held at `src(si)`. */
+  def unpack(src: Array[Long], si: Int): V
+
+  /** `dst(di) = a(ai) ⊗ b(bi)`, counted as one combine; correct when
+    * `dst(di)` is `a(ai)` or `b(bi)`.
+    */
+  def combineInto(dst: Array[Long], di: Int, a: Array[Long], ai: Int, b: Array[Long], bi: Int): Unit
+}

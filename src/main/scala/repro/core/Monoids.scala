@@ -4,30 +4,48 @@ package repro.core
   * `geomean` (medium), `bloom` (slow); `max`/`min` for the streaming
   * operator; and two used by tests: `count`, a Long monoid, and `Concat`,
   * which is non-commutative so ordering bugs in a window algorithm cannot
-  * cancel out.
+  * cancel out. All but `bloom` and `Concat` are [[PackedMonoid]]s.
   */
 object Monoids {
+  import java.lang.Double.{doubleToRawLongBits => bits, longBitsToDouble => double}
+
+  /** A Double monoid packed as one long of raw bits, so every value,
+    * NaN payloads and -0.0 included, round-trips exactly.
+    */
+  abstract class PackedDouble extends PackedMonoid[Double] {
+    def combine(x: Double, y: Double): Double
+    final def width = 1
+    final def pack(v: Double, dst: Array[Long], di: Int): Unit = dst(di) = bits(v)
+    final def unpack(src: Array[Long], si: Int): Double = double(src(si))
+    final def combineInto(dst: Array[Long], di: Int, a: Array[Long], ai: Int, b: Array[Long], bi: Int): Unit =
+      dst(di) = bits(combine(double(a(ai)), double(b(bi))))
+  }
 
   /** Plain double sum — the paper's "fast" operator. */
-  object SumD extends Monoid[Double] {
+  object SumD extends PackedDouble {
     val identity = 0.0
     def combine(x: Double, y: Double): Double = x + y
     val name = "sum"
   }
 
-  object CountL extends Monoid[Long] {
+  object CountL extends PackedMonoid[Long] {
     val identity = 0L
     def combine(x: Long, y: Long): Long = x + y
     val name = "count"
+    def width = 1
+    def pack(v: Long, dst: Array[Long], di: Int): Unit = dst(di) = v
+    def unpack(src: Array[Long], si: Int): Long = src(si)
+    def combineInto(dst: Array[Long], di: Int, a: Array[Long], ai: Int, b: Array[Long], bi: Int): Unit =
+      dst(di) = a(ai) + b(bi)
   }
 
-  object MaxD extends Monoid[Double] {
+  object MaxD extends PackedDouble {
     val identity: Double = Double.NegativeInfinity
     def combine(x: Double, y: Double): Double = math.max(x, y)
     val name = "max"
   }
 
-  object MinD extends Monoid[Double] {
+  object MinD extends PackedDouble {
     val identity: Double = Double.PositiveInfinity
     def combine(x: Double, y: Double): Double = math.min(x, y)
     val name = "min"
@@ -42,10 +60,19 @@ object Monoids {
   object GeoMean {
     def lift(v: Double): GeoMean = GeoMean(math.log(v), 1L)
   }
-  object GeoMeanM extends Monoid[GeoMean] {
+  /** Packed as two longs: the raw bits of Σ log v, then n. */
+  object GeoMeanM extends PackedMonoid[GeoMean] {
     val identity: GeoMean = GeoMean(0.0, 0L)
     def combine(x: GeoMean, y: GeoMean): GeoMean = GeoMean(x.logSum + y.logSum, x.n + y.n)
     val name = "geomean"
+    def width = 2
+    def pack(v: GeoMean, dst: Array[Long], di: Int): Unit = { dst(di) = bits(v.logSum); dst(di + 1) = v.n }
+    def unpack(src: Array[Long], si: Int): GeoMean = GeoMean(double(src(si)), src(si + 1))
+    def combineInto(dst: Array[Long], di: Int, a: Array[Long], ai: Int, b: Array[Long], bi: Int): Unit = {
+      val n = a(ai + 1) + b(bi + 1)
+      dst(di) = bits(double(a(ai)) + double(b(bi)))
+      dst(di + 1) = n
+    }
   }
 
   /** Bloom filter monoid [Bloom 1970] — the paper's "slow" operator: each

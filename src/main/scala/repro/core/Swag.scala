@@ -90,6 +90,19 @@ trait Swag[V] {
     * aggregate-only stacks cannot). Used for streaming checkpoints.
     */
   def snapshot(): Option[IndexedSeq[(Long, V)]] = None
+
+  /** The window's contents in timestamp order, copied into `times` and
+    * `values` from index 0; both must hold `size` entries. False if the
+    * algorithm cannot enumerate them. Unlike `snapshot()`, FiBA copies
+    * without a tuple per entry.
+    */
+  def snapshotInto(times: Array[Long], values: Array[V]): Boolean = snapshot() match {
+    case Some(es) =>
+      var i = 0
+      while (i < es.length) { times(i) = es(i)._1; values(i) = es(i)._2; i += 1 }
+      true
+    case None => false
+  }
 }
 
 private[core] object Swag {

@@ -23,9 +23,16 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
   val maxArity: Int = 2 * minArity
   /** Max entries per node = MAX_ARITY - 1. */
   protected val maxEntries: Int = maxArity - 1
+  /** Slot of a node's `agg` in its value store, after the entry slots. */
+  protected final val aggSlot: Int = maxEntries
+
+  /** Where values and aggregates live: inline longs for a packed monoid. */
+  protected final val lane: Lane[V] = Lane(monoid)
+  /** One-slot scratch store for an operand or a partial result. */
+  protected final val tmp: AnyRef = lane.newStore(1)
 
   protected var root: FibaNode[V] = newNode(leaf = true)
-  root.agg = monoid.identity
+  lane.setIdentity(root.values, aggSlot)
   protected var leftFinger: FibaNode[V]  = root
   protected var rightFinger: FibaNode[V] = root
 
@@ -36,7 +43,7 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
     */
   private val pool = new java.util.ArrayDeque[FibaNode[V]]()
 
-  private def newNode(leaf: Boolean): FibaNode[V] = new FibaNode[V](leaf, maxEntries)
+  private def newNode(leaf: Boolean): FibaNode[V] = new FibaNode[V](leaf, maxEntries, lane)
 
   /** Release `n` and its whole subtree. Child slots already detached
     * (nulled) by the caller are skipped.
@@ -82,65 +89,83 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
     * root leaf. Constant time.
     */
   final def queryAgg(): V = {
-    if (root.isLeaf) root.agg
-    else monoid.combine(leftFinger.agg, monoid.combine(root.agg, rightFinger.agg))
+    val a = aggSlot
+    if (root.isLeaf) lane.get(root.values, a)
+    else {
+      lane.combineInto(tmp, 0, root.values, a, rightFinger.values, a)
+      lane.combineInto(tmp, 0, leftFinger.values, a, tmp, 0)
+      lane.get(tmp, 0)
+    }
   }
 
   // ---- location-sensitive aggregate formulas ------------------------------
+  // Each folds left in timestamp order, from the identity or a copy of its
+  // first operand, into a value slot: the node's `agg`, or (d, di) for Π̂.
 
-  private final def foldEntries(y: FibaNode[V]): V = {
-    var acc = monoid.identity
+  private final def foldEntries(y: FibaNode[V], d: AnyRef, di: Int): Unit = {
+    lane.setIdentity(d, di)
     var i = 0
-    while (i < y.n) { acc = monoid.combine(acc, y.value(i)); i += 1 }
-    acc
+    while (i < y.n) { lane.combineInto(d, di, d, di, y.values, i); i += 1 }
   }
 
-  /** Π↑(y): all children and values in timestamp order. Children must
-    * store up aggregates (never call on a node with spine children).
+  /** Π↑(y): all children and values in timestamp order, into y's `agg`.
+    * Children must store up aggregates (never call on a node with spine
+    * children).
     */
-  protected final def upAgg(y: FibaNode[V]): V = {
-    if (y.isLeaf) foldEntries(y)
+  protected final def upAgg(y: FibaNode[V]): Unit = {
+    val a = aggSlot
+    val d = y.values
+    if (y.isLeaf) foldEntries(y, d, a)
     else {
-      var acc = y.children(0).agg
+      lane.copy1(y.children(0).values, a, d, a)
       var i = 0
       while (i < y.n) {
-        acc = monoid.combine(acc, y.value(i))
-        acc = monoid.combine(acc, y.children(i + 1).agg)
+        lane.combineInto(d, a, d, a, d, i)
+        lane.combineInto(d, a, d, a, y.children(i + 1).values, a)
         i += 1
       }
-      acc
     }
   }
 
-  /** Π̂(y): y's values and inner children, excluding c0 and c_{a-1}. */
-  protected final def innerAgg(y: FibaNode[V]): V = {
-    if (y.isLeaf) foldEntries(y)
-    else if (y.n == 0) monoid.identity
+  /** Π̂(y): y's values and inner children, excluding c0 and c_{a-1}, into
+    * slot `di` of store `d`.
+    */
+  protected final def innerAgg(y: FibaNode[V], d: AnyRef, di: Int): Unit = {
+    if (y.isLeaf) foldEntries(y, d, di)
+    else if (y.n == 0) lane.setIdentity(d, di)
     else {
-      var acc = y.value(0)
+      lane.copy1(y.values, 0, d, di)
       var i = 1
       while (i < y.n) {
-        acc = monoid.combine(acc, y.children(i).agg)
-        acc = monoid.combine(acc, y.value(i))
+        lane.combineInto(d, di, d, di, y.children(i).values, aggSlot)
+        lane.combineInto(d, di, d, di, y.values, i)
         i += 1
       }
-      acc
     }
   }
 
-  /** Π↙(y) = Π̂(y) ⊗ Π↑(c_{a-1}) ⊗ (1 if parent is root else Π↙(parent)). */
-  protected final def leftAgg(y: FibaNode[V]): V = {
-    var acc = innerAgg(y)
-    if (!y.isLeaf) acc = monoid.combine(acc, y.lastChild.agg)
-    if (y.parent != null && (y.parent ne root)) acc = monoid.combine(acc, y.parent.agg)
-    acc
+  /** Π↙(y) = Π̂(y) ⊗ Π↑(c_{a-1}) ⊗ (1 if parent is root else Π↙(parent)),
+    * into y's `agg`.
+    */
+  protected final def leftAgg(y: FibaNode[V]): Unit = {
+    val a = aggSlot
+    val d = y.values
+    innerAgg(y, d, a)
+    if (!y.isLeaf) lane.combineInto(d, a, d, a, y.lastChild.values, a)
+    if (y.parent != null && (y.parent ne root)) lane.combineInto(d, a, d, a, y.parent.values, a)
   }
 
-  /** Π↘(y) = (1 if parent is root else Π↘(parent)) ⊗ Π↑(c0) ⊗ Π̂(y). */
-  protected final def rightAgg(y: FibaNode[V]): V = {
-    var acc = if (y.parent != null && (y.parent ne root)) y.parent.agg else monoid.identity
-    if (!y.isLeaf) acc = monoid.combine(acc, y.children(0).agg)
-    monoid.combine(acc, innerAgg(y))
+  /** Π↘(y) = (1 if parent is root else Π↘(parent)) ⊗ Π↑(c0) ⊗ Π̂(y), into
+    * y's `agg` (Π̂(y) goes through `tmp`).
+    */
+  protected final def rightAgg(y: FibaNode[V]): Unit = {
+    val a = aggSlot
+    val d = y.values
+    innerAgg(y, tmp, 0)
+    if (y.parent != null && (y.parent ne root)) lane.copy1(y.parent.values, a, d, a)
+    else lane.setIdentity(d, a)
+    if (!y.isLeaf) lane.combineInto(d, a, d, a, y.children(0).values, a)
+    lane.combineInto(d, a, d, a, tmp, 0)
   }
 
   // ---- aggregate repair ----------------------------------------------------
@@ -152,7 +177,7 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
   protected final def repairUpFrom(n: FibaNode[V]): Unit = {
     var cur = n
     while ((cur ne root) && !cur.leftSpine && !cur.rightSpine) {
-      cur.agg = upAgg(cur)
+      upAgg(cur)
       cur = cur.parent
     }
     passDown(cur eq root, if (cur.leftSpine) cur else null, if (cur.rightSpine) cur else null)
@@ -171,7 +196,7 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
       // a root that changed identity may still point up and carry the
       // flags of the spine it came from
       root.parent = null; root.leftSpine = false; root.rightSpine = false
-      root.agg = innerAgg(root)
+      innerAgg(root, root.values, aggSlot)
     }
     if (root.isLeaf) { leftFinger = root; rightFinger = root }
     else {
@@ -188,7 +213,7 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
     var cur = top
     while (true) {
       cur.leftSpine = true
-      cur.agg = leftAgg(cur)
+      leftAgg(cur)
       if (cur.isLeaf) { leftFinger = cur; return }
       cur = cur.children(0)
     }
@@ -199,76 +224,88 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
     var cur = top
     while (true) {
       cur.rightSpine = true
-      cur.agg = rightAgg(cur)
+      rightAgg(cur)
       if (cur.isLeaf) { rightFinger = cur; return }
       cur = cur.lastChild
     }
   }
 
-  // ---- size (diagnostics only; O(n)) --------------------------------------
+  // ---- size and contents (O(n)) ------------------------------------------
 
-  /** Number of distinct timestamps, by traversal — test/diagnostic use. */
+  /** Number of distinct timestamps, by traversal. */
   final def sizeByTraversal: Int = {
-    def rec(n: FibaNode[V]): Int =
-      if (n.isLeaf) n.n else n.n + n.children.iterator.take(n.n + 1).map(rec).sum
+    def rec(n: FibaNode[V]): Int = {
+      var s = n.n
+      if (!n.isLeaf) { var i = 0; while (i <= n.n) { s += rec(n.children(i)); i += 1 } }
+      s
+    }
     rec(root)
   }
 
-  /** All window entries in timestamp order — O(n); used for state-store
-    * checkpointing by the streaming operator and by tests.
-    */
+  /** All window entries in timestamp order as pairs — O(n); `snapshot()`. */
   final def toEntries: IndexedSeq[(Long, V)] = {
-    val buf = scala.collection.mutable.ArrayBuffer.empty[(Long, V)]
-    def rec(n: FibaNode[V]): Unit = {
-      if (n.isLeaf) {
-        var i = 0
-        while (i < n.n) { buf += ((n.times(i), n.value(i))); i += 1 }
-      } else {
-        var i = 0
-        while (i < n.n) {
-          rec(n.children(i))
-          buf += ((n.times(i), n.value(i)))
-          i += 1
-        }
-        rec(n.lastChild)
+    val times = new Array[Long](sizeByTraversal)
+    val values = new Array[AnyRef](times.length).asInstanceOf[Array[V]]
+    copyEntriesTo(times, values)
+    IndexedSeq.tabulate(times.length)(i => (times(i), values(i)))
+  }
+
+  /** Copy the window's entries in timestamp order into `times`/`values`
+    * from index 0; both must hold [[sizeByTraversal]] entries. O(n), with
+    * no allocation per entry beyond what `values` boxes.
+    */
+  final def copyEntriesTo(times: Array[Long], values: Array[V]): Unit = {
+    def rec(n: FibaNode[V], from: Int): Int = {
+      var k = from
+      var i = 0
+      while (i < n.n) {
+        if (!n.isLeaf) k = rec(n.children(i), k)
+        times(k) = n.times(i); values(k) = lane.get(n.values, i)
+        k += 1; i += 1
       }
+      if (n.isLeaf) k else rec(n.lastChild, k)
     }
-    rec(root)
-    buf.toIndexedSeq
+    rec(root, 0)
   }
 
   // ---- invariant validation (tests) ---------------------------------------
 
+  /** The root's value store, for tests of the lane's layout. */
+  private[core] final def rootValues: AnyRef = root.values
+
   /** Recursively recompute what every stored aggregate should be and check
     * all structural invariants. Throws on the first violation. O(n); for
     * property tests only. Use exact monoids (Long sum / Vector concat) —
-    * floating-point sums may drift between groupings.
+    * floating-point sums may drift between groupings. A packed monoid's
+    * aggregates must match bit for bit.
     */
   final def validate(): Unit = {
     def fail(msg: String): Nothing = throw new AssertionError(s"FiBA invariant violated: $msg\n${dump()}")
 
     // Reference Π↑ ignoring stored aggs.
+    def value(n: FibaNode[V], i: Int): V = lane.get(n.values, i)
+    def refFold(n: FibaNode[V]): V = (0 until n.n).foldLeft(monoid.identity)((acc, i) => monoid.combine(acc, value(n, i)))
     def refUp(n: FibaNode[V]): V =
-      if (n.isLeaf) foldEntries(n)
+      if (n.isLeaf) refFold(n)
       else {
         var acc = refUp(n.children(0))
         var i = 0
         while (i < n.n) {
-          acc = monoid.combine(acc, n.value(i))
+          acc = monoid.combine(acc, value(n, i))
           acc = monoid.combine(acc, refUp(n.children(i + 1)))
           i += 1
         }
         acc
       }
     def refInner(n: FibaNode[V]): V =
-      if (n.isLeaf) foldEntries(n)
+      if (n.isLeaf) refFold(n)
       else if (n.n == 0) monoid.identity
       else {
-        var acc = n.value(0)
+        var acc = value(n, 0)
         var i = 1
         while (i < n.n) {
           acc = monoid.combine(acc, refUp(n.children(i)))
-          acc = monoid.combine(acc, n.value(i))
+          acc = monoid.combine(acc, value(n, i))
           i += 1
         }
         acc
@@ -288,11 +325,12 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
     var leafDepth = -1
     def rec(n: FibaNode[V], depth: Int, lo: Option[Long], hi: Option[Long],
             onLeft: Boolean, onRight: Boolean): Unit = {
-      // flat layout: fixed capacities, nothing pinned past the count
-      if (n.times.length != maxEntries || n.values.length != maxEntries)
-        fail(s"entry arrays of capacity ${n.times.length}/${n.values.length}, not $maxEntries, in $n")
+      // flat layout: fixed capacities (entries, then agg), nothing pinned
+      // past the count
+      if (n.times.length != maxEntries || lane.slots(n.values) != maxEntries + 1)
+        fail(s"entry arrays of capacity ${n.times.length}/${lane.slots(n.values)}, not $maxEntries/${maxEntries + 1}, in $n")
       var i = n.n
-      while (i < maxEntries) { if (n.values(i) != null) fail(s"value slot $i past the count is set in $n"); i += 1 }
+      while (i < maxEntries) { if (lane.isSet(n.values, i)) fail(s"value slot $i past the count is set in $n"); i += 1 }
       if (!n.isLeaf) {
         if (n.children.length != maxArity)
           fail(s"children array of capacity ${n.children.length}, not $maxArity, in $n")
@@ -332,7 +370,8 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
         else if (onLeft) refLeft(n)
         else if (onRight) refRight(n)
         else refUp(n)
-      if (n.agg != expected) fail(s"agg mismatch in $n: stored=${n.agg} expected=$expected")
+      if (!lane.holds(n.values, aggSlot, expected))
+        fail(s"agg mismatch in $n: stored=${lane.get(n.values, aggSlot)} expected=$expected")
       // children
       i = 0
       while (!n.isLeaf && i <= n.n) {

@@ -162,7 +162,7 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] =>
         if (deficit <= surplus) {
           moveBatch(node, neighbor, ancestor, a, deficit)
           if (neighbor.rightSpine) rightDirtyTop = neighbor // repaired in step 3
-          else neighbor.agg = upAgg(neighbor)
+          else upAgg(neighbor)
           done = l <= 0
           if (!done) { l -= 1; node = nodes(l) }
         } else {
@@ -195,14 +195,14 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] =>
   protected final def moveBatch(node: FibaNode[V], neighbor: FibaNode[V],
                                 ancestor: FibaNode[V], a: Int, k: Int): Unit = {
     val internal = !node.isLeaf
-    node.append(ancestor.times(a), ancestor.values(a), if (internal) neighbor.children(0) else null)
+    node.append(ancestor.times(a), ancestor.values, a, if (internal) neighbor.children(0) else null)
     var i = 0
     while (i < k - 1) {
-      node.append(neighbor.times(i), neighbor.values(i), if (internal) neighbor.children(i + 1) else null)
+      node.append(neighbor.times(i), neighbor.values, i, if (internal) neighbor.children(i + 1) else null)
       i += 1
     }
     ancestor.times(a) = neighbor.times(k - 1)
-    ancestor.values(a) = neighbor.values(k - 1)
+    lane.copy1(neighbor.values, k - 1, ancestor.values, a)
     neighbor.dropFront(k)
   }
 
@@ -215,11 +215,11 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] =>
     val k = node.n     // node's k entries and the separator go in front
     val m = neighbor.n // of the neighbor's m entries
     System.arraycopy(neighbor.times, 0, neighbor.times, k + 1, m)
-    System.arraycopy(neighbor.values, 0, neighbor.values, k + 1, m)
+    lane.copy(neighbor.values, 0, neighbor.values, k + 1, m)
     System.arraycopy(node.times, 0, neighbor.times, 0, k)
-    System.arraycopy(node.values, 0, neighbor.values, 0, k)
+    lane.copy(node.values, 0, neighbor.values, 0, k)
     neighbor.times(k) = ancestor.times(a)
-    neighbor.values(k) = ancestor.values(a)
+    lane.copy1(ancestor.values, a, neighbor.values, k)
     if (!node.isLeaf) {
       System.arraycopy(neighbor.children, 0, neighbor.children, k + 1, m + 1)
       var i = 0

@@ -8,30 +8,37 @@ import repro.core.Swag
   * events ride along until their level is reached. An insertion event's
   * `child` (if non-null) splices in immediately right of its entry.
   */
-private[fiba] final class Treelets[V] {
+private[fiba] final class Treelets[V](lane: Lane[V]) {
   var target    = new Array[FibaNode[V]](16)
   var time      = new Array[Long](16)
-  var value     = new Array[AnyRef](16)
+  var value     = lane.newStore(16)
   var child     = new Array[FibaNode[V]](16)
   var level     = new Array[Int](16)
   var recompute = new Array[Boolean](16)
   var size = 0
 
-  def add(tg: FibaNode[V], t: Long, v: AnyRef, c: FibaNode[V], lvl: Int, rc: Boolean): Unit = {
+  /** Append an event and return its index; the caller then puts an
+    * insertion event's value in that slot of `value` (which this call may
+    * have replaced by a larger store).
+    */
+  def add(tg: FibaNode[V], t: Long, c: FibaNode[V], lvl: Int, rc: Boolean): Int = {
     if (size == time.length) grow()
-    target(size) = tg; time(size) = t; value(size) = v
+    target(size) = tg; time(size) = t
     child(size) = c; level(size) = lvl; recompute(size) = rc
     size += 1
+    size - 1
   }
 
   /** Copy event j of `from` to the end of this buffer. */
-  def addFrom(from: Treelets[V], j: Int): Unit =
-    add(from.target(j), from.time(j), from.value(j), from.child(j), from.level(j), from.recompute(j))
+  def addFrom(from: Treelets[V], j: Int): Unit = {
+    val i = add(from.target(j), from.time(j), from.child(j), from.level(j), from.recompute(j))
+    lane.copy1(from.value, j, value, i)
+  }
 
   /** Empty the buffer, dropping its references. */
   def clear(): Unit = {
     FibaNode.nullOut(target, 0, size)
-    FibaNode.nullOut(value, 0, size)
+    lane.release(value, 0, size)
     FibaNode.nullOut(child, 0, size)
     size = 0
   }
@@ -40,7 +47,7 @@ private[fiba] final class Treelets[V] {
     val cap = 2 * time.length
     target = java.util.Arrays.copyOf(target.asInstanceOf[Array[AnyRef]], cap).asInstanceOf[Array[FibaNode[V]]]
     time = java.util.Arrays.copyOf(time, cap)
-    value = java.util.Arrays.copyOf(value, cap)
+    val v = lane.newStore(cap); lane.copy(value, 0, v, 0, size); value = v
     child = java.util.Arrays.copyOf(child.asInstanceOf[Array[AnyRef]], cap).asInstanceOf[Array[FibaNode[V]]]
     level = java.util.Arrays.copyOf(level, cap)
     recompute = java.util.Arrays.copyOf(recompute, cap)
@@ -84,11 +91,11 @@ private[fiba] final class Treelets[V] {
 trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
 
   // treelets of the level being processed and of the next one
-  private var cur = new Treelets[V]
-  private var nxt = new Treelets[V]
+  private var cur = new Treelets[V](lane)
+  private var nxt = new Treelets[V](lane)
   // interleave scratch: entry i at scrT/scrV(i), child left of it at scrC(i)
   private var scrT = Array.emptyLongArray
-  private var scrV = Array.empty[AnyRef]
+  private var scrV = lane.newStore(0)
   private var scrC = new Array[FibaNode[V]](1)
 
   /** Height above the leaves of the node [[fingerSearchTop]] or
@@ -107,20 +114,23 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
     while (true) {
       val idx = node.lowerBound(t)
       if (idx < node.n && node.times(idx) == t) {
-        node.setValue(idx, monoid.combine(node.value(idx), v))
+        combineAt(node, idx, v)
         repairUpFrom(node)
         return
       }
       if (node.isLeaf) {
         if (node.n < maxEntries) {
-          node.insertAt(idx, t, v.asInstanceOf[AnyRef])
+          node.insertAt(idx, t)
+          lane.put(v, node.values, idx)
           // An entry that lands last in the right finger extends its Π↘
           // (Π̂ at a root leaf) by associativity; no other aggregate covers
           // the right finger, so an in-order append is O(1).
-          if ((node eq rightFinger) && idx == node.n - 1) node.agg = monoid.combine(node.agg, v)
+          val vs = node.values
+          if ((node eq rightFinger) && idx == node.n - 1) lane.combineInto(vs, aggSlot, vs, aggSlot, vs, idx)
           else repairUpFrom(node)
         } else {
-          cur.add(node, t, v.asInstanceOf[AnyRef], null, 0, rc = false)
+          val e = cur.add(node, t, null, 0, rc = false)
+          lane.put(v, cur.value, e)
           passUpAndDown()
         }
         return
@@ -150,15 +160,21 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
     }
   }
 
+  /** Value i of `node` ← value i ⊗ v (a timestamp collision). */
+  private def combineAt(node: FibaNode[V], i: Int, v: V): Unit = {
+    lane.put(v, tmp, 0)
+    lane.combineInto(node.values, i, node.values, i, tmp, 0)
+  }
+
   /** Entries the largest bulk buffer reused across calls can hold. */
   private[core] final def retainedBulkEntries: Int = scrT.length max cur.time.length max nxt.time.length
 
   /** `b` cleared for reuse, or a fresh buffer if it grew past the bound. */
   private def emptied(b: Treelets[V]): Treelets[V] =
-    if (b.time.length > Swag.RetainedBulk) new Treelets[V] else { b.clear(); b }
+    if (b.time.length > Swag.RetainedBulk) new Treelets[V](lane) else { b.clear(); b }
 
   private def newScratch(cap: Int): Unit = {
-    scrT = new Array[Long](cap); scrV = new Array[AnyRef](cap); scrC = new Array[FibaNode[V]](cap + 1)
+    scrT = new Array[Long](cap); scrV = lane.newStore(cap); scrC = new Array[FibaNode[V]](cap + 1)
   }
 
   /** Insert the slice [from, until) (≥ 2 entries) of `times`/`values`. */
@@ -172,7 +188,6 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
     var i = from
     while (i < until) {
       val t = times(i)
-      val v = values(i)
       // Appends (the common in-order case) go straight through the right
       // finger in O(1); other entries hop to the LCA of consecutive sites.
       var node =
@@ -183,11 +198,12 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
       while (!placed) {
         val idx = node.lowerBound(t)
         if (idx < node.n && node.times(idx) == t) {
-          node.setValue(idx, monoid.combine(node.value(idx), v)) // combine now
-          cur.add(node, t, null, null, level, rc = true)
+          combineAt(node, idx, values(i)) // combine now
+          cur.add(node, t, null, level, rc = true)
           placed = true
         } else if (node.isLeaf) {
-          cur.add(node, t, v.asInstanceOf[AnyRef], null, 0, rc = false)
+          val e = cur.add(node, t, null, 0, rc = false)
+          lane.put(values(i), cur.value, e)
           placed = true
         } else { node = node.children(idx); level -= 1 }
       }
@@ -232,7 +248,7 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
             lastPiece = bulkSplitAndPromote(target, total, level)
             if (scrT.length > Swag.RetainedBulk) newScratch(0)
             else {
-              FibaNode.nullOut(scrV, 0, total)
+              lane.release(scrV, 0, total)
               if (!target.isLeaf) FibaNode.nullOut(scrC, 0, total + 1)
             }
           } else {
@@ -244,8 +260,8 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
             // recomputation treelet to its parent; spine and root nodes
             // stop it (the pass down repairs them via the dirty markers).
             if ((target ne root) && !target.leftSpine && !target.rightSpine) {
-              target.agg = upAgg(target)
-              nxt.add(target.parent, cur.time(j), null, null, level + 1, rc = true)
+              upAgg(target)
+              nxt.add(target.parent, cur.time(j), null, level + 1, rc = true)
             }
           }
           // spine bookkeeping: later (higher) levels overwrite, so each
@@ -324,7 +340,7 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
     * no sorting. The caller sets the node's count after a merge in place.
     */
   private def interleave(node: FibaNode[V], from: Int, until: Int, total: Int,
-                         dT: Array[Long], dV: Array[AnyRef], dC: Array[FibaNode[V]]): Unit = {
+                         dT: Array[Long], dV: AnyRef, dC: Array[FibaNode[V]]): Unit = {
     val leaf = node.isLeaf
     var out = total - 1
     var oi = node.n - 1 // original entry cursor
@@ -332,20 +348,20 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
     while (ti >= from) {
       if (cur.recompute(ti)) ti -= 1
       else if (oi >= 0 && node.times(oi) > cur.time(ti)) {
-        dT(out) = node.times(oi); dV(out) = node.values(oi)
+        dT(out) = node.times(oi); lane.copy1(node.values, oi, dV, out)
         if (!leaf) dC(out + 1) = node.children(oi + 1)
         out -= 1; oi -= 1
       } else {
         if (oi >= 0 && node.times(oi) == cur.time(ti))
           throw new AssertionError("bulk insert: collision not combined in step 1")
-        dT(out) = cur.time(ti); dV(out) = cur.value(ti)
+        dT(out) = cur.time(ti); lane.copy1(cur.value, ti, dV, out)
         if (!leaf) { val c = cur.child(ti); c.parent = node; dC(out + 1) = c }
         out -= 1; ti -= 1
       }
     }
     if (dT ne node.times) { // the node's first oi + 1 entries and child 0 are not in place
       System.arraycopy(node.times, 0, dT, 0, oi + 1)
-      System.arraycopy(node.values, 0, dV, 0, oi + 1)
+      lane.copy(node.values, 0, dV, 0, oi + 1)
       if (!leaf) System.arraycopy(node.children, 0, dC, 0, oi + 2)
     }
   }
@@ -385,10 +401,11 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
     var pi = 1
     while (pi <= q) { // promote a separator, then cut the next piece
       val np = allocNode(node.isLeaf)
-      nxt.add(parent, scrT(cursor), scrV(cursor), np, level + 1, rc = false)
+      val e = nxt.add(parent, scrT(cursor), np, level + 1, rc = false)
+      lane.copy1(scrV, cursor, nxt.value, e)
       val take = if (pi < q) mu else r
       np.load(scrT, scrV, scrC, cursor + 1, take)
-      if (pi < q) np.agg = upAgg(np)
+      if (pi < q) upAgg(np)
       cursor += take + 1
       last = np
       pi += 1
@@ -399,8 +416,8 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
     if (node.rightSpine || grewRoot) {
       node.rightSpine = false
       last.rightSpine = true
-    } else last.agg = upAgg(last)
-    if (!node.leftSpine && !node.rightSpine) node.agg = upAgg(node)
+    } else upAgg(last)
+    if (!node.leftSpine && !node.rightSpine) upAgg(node)
     last
   }
 }

@@ -2,38 +2,36 @@ package repro.core.fiba
 
 /** One node of the FiBA finger B-tree (§3.2), laid out flat (§6).
   *
-  * Entries live in the first `n` slots of two parallel fixed-capacity
-  * arrays: `times` (primitive longs) and `values` (erased `V`s). Both hold
-  * `cap` = MAX_ARITY-1 slots, the most entries a node may keep. A
-  * non-leaf node's `n + 1` children sit in the first slots of `children`
-  * (capacity `cap + 1` = MAX_ARITY); a leaf has no children array. Slots
-  * past the count are always null, so a node never pins evicted values or
-  * subtrees, and a node never overflows: an insert that would overflow it
-  * merges in the tree's scratch area and splits from there
-  * (`FibaBulkInsertOps`).
+  * Entries live in the first `n` slots of `times` (primitive longs) and of
+  * the value store `values` (a [[Lane]] store: `Array[Long]` with values
+  * inline for a packed monoid, references otherwise). `times` holds `cap`
+  * = MAX_ARITY-1 slots, the most entries a node may keep, and `values`
+  * one more: slot `cap` holds `agg`. A non-leaf node's `n + 1` children
+  * sit in the first slots of `children` (capacity `cap + 1` = MAX_ARITY);
+  * a leaf has no children array. Reference slots past the count are
+  * always null, so a node never pins evicted values or subtrees, and a
+  * node never overflows: an insert that would overflow it merges in the
+  * tree's scratch area and splits from there (`FibaBulkInsertOps`).
   *
   * `agg` is the node's location-sensitive partial aggregate: up aggregate
   * Π↑ for non-spine non-root nodes, left aggregate Π↙ on the left spine,
   * right aggregate Π↘ on the right spine, inner aggregate Π̂ at the root —
-  * see `FibaBase` for the formulas.
+  * see `FibaBase` for the formulas, which read and write it in place.
   */
-final class FibaNode[V](leaf: Boolean, cap: Int) {
+final class FibaNode[V](leaf: Boolean, cap: Int, lane: Lane[V]) {
   val times: Array[Long]           = new Array[Long](cap)
-  val values: Array[AnyRef]        = new Array[AnyRef](cap)
+  val values: AnyRef               = lane.newStore(cap + 1)
   var children: Array[FibaNode[V]] = if (leaf) null else new Array[FibaNode[V]](cap + 1)
   var n = 0
   var parent: FibaNode[V] = null
   var leftSpine  = false
   var rightSpine = false
-  var agg: V = _
 
   def isLeaf: Boolean = children == null
 
   /** B-tree arity: entries + 1, the child count of a non-leaf. */
   def arity: Int = n + 1
 
-  def value(i: Int): V = values(i).asInstanceOf[V]
-  def setValue(i: Int, v: V): Unit = values(i) = v.asInstanceOf[AnyRef]
   def firstTime: Long = times(0)
   def lastTime: Long = times(n - 1)
   def lastChild: FibaNode[V] = children(n)
@@ -58,18 +56,22 @@ final class FibaNode[V](leaf: Boolean, cap: Int) {
     -1
   }
 
-  /** Append one entry (and, for a non-leaf, its right child). */
-  def append(t: Long, v: AnyRef, rightChild: FibaNode[V]): Unit = {
-    times(n) = t; values(n) = v
+  /** Append one entry, its value copied from slot `si` of store `src`
+    * (and, for a non-leaf, its right child).
+    */
+  def append(t: Long, src: AnyRef, si: Int, rightChild: FibaNode[V]): Unit = {
+    times(n) = t; lane.copy1(src, si, values, n)
     n += 1
     if (rightChild != null) { rightChild.parent = this; children(n) = rightChild }
   }
 
-  /** Insert an entry at `idx` of a leaf that has room for it. */
-  def insertAt(idx: Int, t: Long, v: AnyRef): Unit = {
+  /** Insert time `t` at `idx` of a leaf that has room for it; the caller
+    * puts its value in slot `idx`.
+    */
+  def insertAt(idx: Int, t: Long): Unit = {
     System.arraycopy(times, idx, times, idx + 1, n - idx)
-    System.arraycopy(values, idx, values, idx + 1, n - idx)
-    times(idx) = t; values(idx) = v
+    lane.copy(values, idx, values, idx + 1, n - idx)
+    times(idx) = t
     n += 1
   }
 
@@ -80,8 +82,8 @@ final class FibaNode[V](leaf: Boolean, cap: Int) {
     if (k == 0) return
     val left = n - k
     System.arraycopy(times, k, times, 0, left)
-    System.arraycopy(values, k, values, 0, left)
-    FibaNode.nullOut(values, left, n)
+    lane.copy(values, k, values, 0, left)
+    lane.release(values, left, n)
     if (children != null) {
       System.arraycopy(children, k, children, 0, left + 1)
       FibaNode.nullOut(children, left + 1, n + 1)
@@ -93,20 +95,20 @@ final class FibaNode[V](leaf: Boolean, cap: Int) {
     * after its contents moved elsewhere).
     */
   def clear(): Unit = {
-    FibaNode.nullOut(values, 0, n)
+    lane.release(values, 0, n)
     if (children != null) FibaNode.nullOut(children, 0, n + 1)
     n = 0
   }
 
-  /** Replace the contents with `count` entries of `srcT`/`srcV` starting
-    * at `from` and, for a non-leaf, children `srcC(from .. from+count)`,
-    * re-parenting them.
+  /** Replace the contents with `count` entries of `srcT`/`srcV` (a store
+    * of the node's lane) starting at `from` and, for a non-leaf, children
+    * `srcC(from .. from+count)`, re-parenting them.
     */
-  def load(srcT: Array[Long], srcV: Array[AnyRef], srcC: Array[FibaNode[V]], from: Int, count: Int): Unit = {
+  def load(srcT: Array[Long], srcV: AnyRef, srcC: Array[FibaNode[V]], from: Int, count: Int): Unit = {
     val old = n
     System.arraycopy(srcT, from, times, 0, count)
-    System.arraycopy(srcV, from, values, 0, count)
-    if (count < old) FibaNode.nullOut(values, count, old)
+    lane.copy(srcV, from, values, 0, count)
+    if (count < old) lane.release(values, count, old)
     if (children != null) {
       System.arraycopy(srcC, from, children, 0, count + 1)
       if (count < old) FibaNode.nullOut(children, count + 1, old + 1)
@@ -122,7 +124,7 @@ final class FibaNode[V](leaf: Boolean, cap: Int) {
     if (leaf) children = null
     else if (children == null) children = new Array[FibaNode[V]](times.length + 1)
     parent = null; leftSpine = false; rightSpine = false
-    agg = null.asInstanceOf[V]
+    lane.release(values, times.length, times.length + 1) // agg
   }
 
   override def toString: String = {

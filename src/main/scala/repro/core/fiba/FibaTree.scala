@@ -24,7 +24,7 @@ sealed abstract class FibaSwag[V](minArity: Int, val monoid: Monoid[V], useFreeL
   protected final val tree = new FibaTree[V](minArity, monoid, useFreeList)
   val supportsOoo = true
 
-  def size: Int = tree.sizeByTraversal // O(n); diagnostics only
+  def size: Int = tree.sizeByTraversal // O(n), like a snapshot
   def isEmpty: Boolean = tree.isEmpty
   def oldestTime: Long = tree.oldestTime
   def youngestTime: Long = tree.youngestTime
@@ -32,6 +32,7 @@ sealed abstract class FibaSwag[V](minArity: Int, val monoid: Monoid[V], useFreeL
   def insert(t: Long, v: V): Unit = tree.insertOne(t, v)
   def evict(): Unit = tree.evictOldest()
   override def snapshot(): Option[IndexedSeq[(Long, V)]] = Some(tree.toEntries)
+  override def snapshotInto(times: Array[Long], values: Array[V]): Boolean = { tree.copyEntriesTo(times, values); true }
   override private[core] def retainedBulkEntries: Int = super.retainedBulkEntries max tree.retainedBulkEntries
 
   /** Expose the tree for invariant checks in tests. */

@@ -116,11 +116,9 @@ object FibaStreaming {
 
     val snap =
       if (fullState) {
-        val entries = algo.snapshot().getOrElse(sys.error(s"$algoName cannot snapshot"))
-        val times = new Array[Long](entries.length)
-        val values = new Array[Double](entries.length)
-        var i = 0
-        while (i < times.length) { val e = entries(i); times(i) = e._1; values(i) = e._2; i += 1 }
+        val times = new Array[Long](algo.size)
+        val values = new Array[Double](times.length)
+        if (!algo.snapshotInto(times, values)) sys.error(s"$algoName cannot snapshot")
         WindowSnapshot(times, values, watermark)
       } else WindowSnapshot(Array.emptyLongArray, Array.emptyDoubleArray, watermark)
     state.update(snap)

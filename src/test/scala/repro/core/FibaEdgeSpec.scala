@@ -19,11 +19,28 @@ class FibaEdgeSpec extends AnyFunSuite {
   }
 
   /** Long sum that counts its combines. */
-  private final class CountingSum extends Monoid[Long] {
+  private class CountingSum extends Monoid[Long] {
     var combines = 0L
     val identity = 0L
     def combine(x: Long, y: Long): Long = { combines += 1; x + y }
     val name = "counting"
+  }
+
+  /** The same sum, packed: trees over it run the `Long` lane. */
+  private final class PackedCountingSum extends CountingSum with PackedMonoid[Long] {
+    def width = 1
+    def pack(v: Long, dst: Array[Long], di: Int): Unit = dst(di) = v
+    def unpack(src: Array[Long], si: Int): Long = src(si)
+    def combineInto(dst: Array[Long], di: Int, a: Array[Long], ai: Int, b: Array[Long], bi: Int): Unit = {
+      combines += 1; dst(di) = a(ai) + b(bi)
+    }
+  }
+
+  /** Both lanes run one code path, so they count the same combines. */
+  private def bothLanes[A](f: CountingSum => A): A = {
+    val (ref, packed) = (f(new CountingSum), f(new PackedCountingSum))
+    assert(ref == packed, "the AnyRef and Long lanes counted different combines")
+    ref
   }
 
   test("minArity below 2 is rejected") {
@@ -219,16 +236,18 @@ class FibaEdgeSpec extends AnyFunSuite {
 
   test("a bulk into an empty window costs at most 1.5 combines per entry") {
     for (minArity <- Seq(2, 3, 4, 8)) {
-      val counting = new CountingSum
-      val t = new FibaTree[Long](minArity, counting)
       val m = 1 << 14
       val times = Array.tabulate(m)(_.toLong)
-      t.bulkInsertNative(times, times, 0, m)
-      val perEntry = counting.combines.toDouble / m
+      val perEntry = bothLanes { counting =>
+        val t = new FibaTree[Long](minArity, counting)
+        t.bulkInsertNative(times, times, 0, m)
+        val combines = counting.combines
+        assert(t.queryAgg() == times.sum)
+        t.validate()
+        combines.toDouble / m
+      }
       info(f"minArity=$minArity: $perEntry%.2f combines per entry")
       assert(perEntry <= 1.5, s"minArity=$minArity")
-      assert(t.queryAgg() == times.sum)
-      t.validate()
     }
   }
 
@@ -236,37 +255,39 @@ class FibaEdgeSpec extends AnyFunSuite {
     // The loop reads 5.30 / 10.29 / 43.5 combines at minArity 4 and
     // 5.64 / 17.24 / 146.3 at minArity 8. Each cap sits about 5% above, so
     // a pass down that recomputes more than it needs fails here before any
-    // timing could show it.
+    // timing could show it. The AnyRef and Long lanes must read identical
+    // counts.
     for ((minArity, insertCap, evictCap, bulkEvictCap) <- Seq((4, 5.55, 10.8, 45.5), (8, 5.9, 18.1, 153.5))) {
-      val counting = new CountingSum
-      val t = new FibaTree[Long](minArity, counting)
-      val n = 1 << 14
-      val times = Array.tabulate(n)(_.toLong)
-      t.bulkInsertNative(times, times, 0, n)
-      def counted(op: => Unit): Long = { counting.combines = 0; op; counting.combines }
-      var top = n.toLong
-      var inserts, evicts = 0L
-      for (_ <- 0 until n) {
-        evicts += counted(t.evictOldest())
-        inserts += counted(t.insertOne(top, top))
-        top += 1
+      val (perInsert, perEvict, perBulkEvict) = bothLanes { counting =>
+        val t = new FibaTree[Long](minArity, counting)
+        val n = 1 << 14
+        val times = Array.tabulate(n)(_.toLong)
+        t.bulkInsertNative(times, times, 0, n)
+        def counted(op: => Unit): Long = { counting.combines = 0; op; counting.combines }
+        var top = n.toLong
+        var inserts, evicts = 0L
+        for (_ <- 0 until n) {
+          evicts += counted(t.evictOldest())
+          inserts += counted(t.insertOne(top, top))
+          top += 1
+        }
+        val m = 1024
+        val rounds = 16
+        var bulkEvicts = 0L
+        for (_ <- 0 until rounds) {
+          bulkEvicts += counted(t.bulkEvictNative(t.oldestTime + m - 1))
+          val bulk = Array.tabulate(m)(top + _)
+          t.bulkInsertNative(bulk, bulk, 0, m)
+          top += m
+        }
+        t.validate()
+        assert(t.queryAgg() == (top - n until top).sum)
+        (inserts.toDouble / n, evicts.toDouble / n, bulkEvicts.toDouble / rounds)
       }
-      val m = 1024
-      val rounds = 16
-      var bulkEvicts = 0L
-      for (_ <- 0 until rounds) {
-        bulkEvicts += counted(t.bulkEvictNative(t.oldestTime + m - 1))
-        val bulk = Array.tabulate(m)(top + _)
-        t.bulkInsertNative(bulk, bulk, 0, m)
-        top += m
-      }
-      val (perInsert, perEvict, perBulkEvict) = (inserts.toDouble / n, evicts.toDouble / n, bulkEvicts.toDouble / rounds)
       info(f"minArity=$minArity: $perInsert%.3f per insert, $perEvict%.3f per evict, $perBulkEvict%.2f per bulkEvict")
       assert(perInsert <= insertCap, s"minArity=$minArity insert")
       assert(perEvict <= evictCap, s"minArity=$minArity evict")
       assert(perBulkEvict <= bulkEvictCap, s"minArity=$minArity bulkEvict")
-      t.validate()
-      assert(t.queryAgg() == (top - n until top).sum)
     }
   }
 

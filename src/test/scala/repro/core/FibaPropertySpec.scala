@@ -11,19 +11,22 @@ import scala.util.Random
   * in-order + out-of-order) mirrored onto the brute-force reference, with
   * `validate()` re-deriving every structural and aggregate invariant
   * after every single operation. Uses the non-commutative Concat monoid
-  * (exact equality, order-sensitive) so nothing can cancel out.
+  * (exact equality, order-sensitive) so nothing can cancel out, and runs
+  * the random ops also over the packed affine and count monoids, whose
+  * trees keep values inline in `Array[Long]` stores.
   */
 class FibaPropertySpec extends AnyFunSuite {
 
   private def entryFor(t: Long): Vector[Long] = Vector(t)
 
   /** One random run; every op is mirrored and the tree fully validated. */
-  private def randomRun(minArity: Int, seed: Long, nOps: Int, tRange: Int,
-                        bulkOps: Boolean, useFreeList: Boolean): Unit = {
+  private def randomRun[V](enc: Enc[V], minArity: Int, seed: Long, nOps: Int, tRange: Int,
+                           bulkOps: Boolean, useFreeList: Boolean): Unit = {
+    val entryFor = enc.of
     val rnd = new Random(seed)
-    val tree = new FibaTree[Vector[Long]](minArity, ConcatM, useFreeList)
-    val ref = new BruteForceSwag(ConcatM)
-    val ctx = s"minArity=$minArity seed=$seed bulk=$bulkOps fl=$useFreeList"
+    val tree = new FibaTree[V](minArity, enc.monoid, useFreeList)
+    val ref = new BruteForceSwag(enc.monoid)
+    val ctx = s"${enc.monoid.name} minArity=$minArity seed=$seed bulk=$bulkOps fl=$useFreeList"
     var step = 0
     while (step < nOps) {
       val dice = rnd.nextInt(12)
@@ -61,13 +64,20 @@ class FibaPropertySpec extends AnyFunSuite {
   for (minArity <- Seq(2, 3, 4, 8); bulk <- Seq(false, true)) {
     test(s"random ops (minArity=$minArity, bulk=$bulk) match reference, 25 seeds") {
       for (seed <- 1 to 25)
-        randomRun(minArity, seed, nOps = 300, tRange = 200, bulkOps = bulk, useFreeList = true)
+        randomRun(concatEnc, minArity, seed, nOps = 300, tRange = 200, bulkOps = bulk, useFreeList = true)
+    }
+  }
+
+  for (enc <- Seq(affineEnc, countEnc); minArity <- Seq(2, 3, 4, 8); fl <- Seq(true, false)) {
+    test(s"random ops over ${enc.monoid.name} (minArity=$minArity, free list=$fl) match reference, 25 seeds") {
+      for (seed <- 1 to 25)
+        randomRun(enc, minArity, seed, nOps = 300, tRange = 200, bulkOps = true, useFreeList = fl)
     }
   }
 
   test("random ops without the free list (nofl ablation) are still correct") {
     for (seed <- 1 to 10)
-      randomRun(2, seed, nOps = 250, tRange = 150, bulkOps = true, useFreeList = false)
+      randomRun(concatEnc, 2, seed, nOps = 250, tRange = 150, bulkOps = true, useFreeList = false)
   }
 
   test("dense duplicate timestamps: combines accumulate in window order") {

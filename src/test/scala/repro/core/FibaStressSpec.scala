@@ -13,21 +13,21 @@ import scala.util.Random
   */
 class FibaStressSpec extends AnyFunSuite {
 
-  private def stressRun(minArity: Int, seed: Long, nOps: Int): Unit = {
+  private def stressRun[V](enc: Enc[V], minArity: Int, seed: Long, nOps: Int): Unit = {
     val rnd = new Random(seed)
-    val tree = new FibaTree[Vector[Long]](minArity, ConcatM)
-    val ref = new BruteForceSwag(ConcatM)
+    val tree = new FibaTree[V](minArity, enc.monoid)
+    val ref = new BruteForceSwag(enc.monoid)
     var step = 0
     while (step < nOps) {
       rnd.nextInt(10) match {
         case 0 | 1 | 2 =>
           val t = rnd.nextInt(5000).toLong
-          tree.insertOne(t, Vector(t)); ref.insert(t, Vector(t))
+          tree.insertOne(t, enc.of(t)); ref.insert(t, enc.of(t))
         case 3 | 4 =>
           val k = 1 + rnd.nextInt(300)
           val ts = Iterator.continually(rnd.nextInt(5000).toLong).take(3 * k)
             .toVector.distinct.sorted.take(k)
-          val es = ts.map(t => (t, Vector(t)))
+          val es = ts.map(t => (t, enc.of(t)))
           tree.bulkInsertPairs(es)
           es.foreach { case (t, v) => ref.insert(t, v) }
         case 5 | 6 =>
@@ -38,13 +38,13 @@ class FibaStressSpec extends AnyFunSuite {
         case 8 => // heavy in-order burst above the window
           val base = if (ref.isEmpty) 0L else ref.youngestTime
           val k = 1 + rnd.nextInt(500)
-          val es = (1 to k).map(i => (base + i, Vector(base + i)))
+          val es = (1 to k).map(i => (base + i, enc.of(base + i)))
           tree.bulkInsertPairs(es)
           es.foreach { case (t, v) => ref.insert(t, v) }
         case _ => // query-only
       }
       if (step % 40 == 0) tree.validate()
-      assert(tree.queryAgg() == ref.query(), s"minArity=$minArity seed=$seed step=$step")
+      assert(tree.queryAgg() == ref.query(), s"${enc.monoid.name} minArity=$minArity seed=$seed step=$step")
       step += 1
     }
     tree.validate()
@@ -52,7 +52,13 @@ class FibaStressSpec extends AnyFunSuite {
 
   for (minArity <- Seq(2, 3, 4, 6, 8); seed <- 1 to 8) {
     test(s"stress minArity=$minArity seed=$seed") {
-      stressRun(minArity, seed * 7919L, nOps = 250)
+      stressRun(concatEnc, minArity, seed * 7919L, nOps = 250)
+    }
+  }
+
+  for (enc <- Seq(affineEnc, countEnc); minArity <- Seq(2, 4, 8); seed <- 1 to 3) {
+    test(s"stress ${enc.monoid.name} minArity=$minArity seed=$seed") {
+      stressRun(enc, minArity, seed * 7919L, nOps = 250)
     }
   }
 

@@ -29,6 +29,37 @@ object TestGen {
   def forAllN3[A, B, C](ga: Gen[A], gb: Gen[B], gc: Gen[C], n: Int = 200)(f: (A, B, C) => Unit): Unit =
     forAllN(Gen.zip(ga, gb, gc), n) { case (a, b, c) => f(a, b, c) }
 
+  /** Affine maps x ↦ a·x + b over Z/2^64. */
+  final case class Affine(a: Long, b: Long)
+
+  /** Affine maps composed in window order, (a1, b1) ⊗ (a2, b2) =
+    * (a1·a2, a2·b1 + b2): exact and non-commutative, and packed as two
+    * longs, so trees over it run the `Long` lane at width 2.
+    */
+  object AffineM extends PackedMonoid[Affine] {
+    val identity: Affine = Affine(1L, 0L)
+    def combine(x: Affine, y: Affine): Affine = Affine(x.a * y.a, y.a * x.b + y.b)
+    val name = "affine"
+    def width = 2
+    def pack(v: Affine, dst: Array[Long], di: Int): Unit = { dst(di) = v.a; dst(di + 1) = v.b }
+    def unpack(src: Array[Long], si: Int): Affine = Affine(src(si), src(si + 1))
+    def combineInto(dst: Array[Long], di: Int, x: Array[Long], xi: Int, y: Array[Long], yi: Int): Unit = {
+      val a = x(xi) * y(yi)
+      val b = y(yi) * x(xi + 1) + y(yi + 1)
+      dst(di) = a; dst(di + 1) = b
+    }
+  }
+
+  /** A monoid and the value an entry at time t carries, for tests that run
+    * over several monoids; `window(ts)` is the aggregate of entries ts.
+    */
+  final case class Enc[V](monoid: Monoid[V], of: Long => V) {
+    def window(ts: Seq[Long]): V = ts.foldLeft(monoid.identity)((acc, t) => monoid.combine(acc, of(t)))
+  }
+  val concatEnc: Enc[Vector[Long]] = Enc(Monoids.ConcatM, Vector(_))
+  val affineEnc: Enc[Affine] = Enc(AffineM, t => Affine(2 * t + 3, t ^ 0x5555L))
+  val countEnc: Enc[Long] = Enc(Monoids.CountL, t => t)
+
   /** A window's (oldest, youngest) times, or None when it is empty. */
   def ends(s: Swag[_]): Option[(Long, Long)] =
     if (s.isEmpty) None else Some((s.oldestTime, s.youngestTime))
