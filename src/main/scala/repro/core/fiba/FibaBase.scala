@@ -31,45 +31,30 @@ abstract class FibaBase[V](val minArity: Int, val monoid: Monoid[V], val useFree
   /** One-slot scratch store for an operand or a partial result. */
   protected final val tmp: AnyRef = lane.newStore(1)
 
-  protected var root: FibaNode[V] = newNode(leaf = true)
+  protected var root: FibaNode[V] = allocNode(leaf = true)
   lane.setIdentity(root.values, aggSlot)
   protected var leftFinger: FibaNode[V]  = root
   protected var rightFinger: FibaNode[V] = root
 
-  // ---- deferred free list (§6) -------------------------------------------
+  // ---- node lifetime (§6) ------------------------------------------------
 
-  /** Deferred free list: bulk evict pushes only the O(log m) boundary
-    * children; reuse pops one node and pushes its children — O(1)/alloc.
+  /** A fresh node of the given kind. */
+  protected final def allocNode(leaf: Boolean): FibaNode[V] = new FibaNode[V](leaf, maxEntries, lane)
+
+  /** Release `n` and its whole subtree, which the caller has unlinked from
+    * the tree. By default this is §6's deferred free list at O(1): the JVM
+    * collector reclaims the subtree once nothing reaches it. The `nofl`
+    * ablation instead walks the subtree and clears every node, O(subtree)
+    * like a C++ `delete` per node, skipping child slots the caller already
+    * detached (nulled).
     */
-  private val pool = new java.util.ArrayDeque[FibaNode[V]]()
-
-  private def newNode(leaf: Boolean): FibaNode[V] = new FibaNode[V](leaf, maxEntries, lane)
-
-  /** Release `n` and its whole subtree. Child slots already detached
-    * (nulled) by the caller are skipped.
-    */
-  protected final def freeNode(n: FibaNode[V]): Unit = {
-    n.parent = null
-    if (useFreeList) pool.push(n)
-    else { // ablation: eager recursive reclamation, O(subtree) like delete
-      if (!n.isLeaf) {
-        var i = 0
-        while (i <= n.n) { val c = n.children(i); if (c != null) freeNode(c); i += 1 }
-      }
-      n.reset(n.isLeaf)
+  protected final def freeNode(n: FibaNode[V]): Unit = if (!useFreeList) {
+    if (!n.isLeaf) {
+      var i = 0
+      while (i <= n.n) { val c = n.children(i); if (c != null) freeNode(c); i += 1 }
     }
-  }
-
-  protected final def allocNode(leaf: Boolean): FibaNode[V] = {
-    if (useFreeList && !pool.isEmpty) {
-      val n = pool.pop()
-      if (!n.isLeaf) {
-        var i = 0
-        while (i <= n.n) { val c = n.children(i); if (c != null) pool.push(c); i += 1 }
-      }
-      n.reset(leaf)
-      n
-    } else newNode(leaf)
+    n.clear()
+    n.parent = null
   }
 
   // ---- public window accessors -------------------------------------------

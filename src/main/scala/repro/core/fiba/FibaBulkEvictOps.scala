@@ -10,7 +10,7 @@ package repro.core.fiba
   *     triples — the neighbor may not be a sibling, and the ancestor is
   *     their least common ancestor holding the separating entry;
   *  2. a *pass up* the boundary doing local evictions (slicing whole
-  *     evicted children off in one go, onto the deferred free list) and
+  *     evicted children off in one go, O(1) each) and
   *     repairing arity underflow with batch moves (Fig 18), non-sibling
   *     merges (Fig 19), or tree shrinking (Figs 4/5); while merges keep
   *     popping the ancestor it climbs on past `s` up the left spine, where
@@ -31,9 +31,9 @@ package repro.core.fiba
 trait FibaBulkEvictOps[V] { self: FibaBase[V] =>
 
   // Reusable boundary-search scratch space, one slot per level of the
-  // cut (a tree of 2^63 entries is at most 64 levels high). Between calls
-  // it pins at most O(log n) node refs, which the deferred free list
-  // would keep alive anyway.
+  // cut (a tree of 2^63 entries is at most 64 levels high). Its node refs
+  // are nulled after every cut: a slot left set would keep an evicted
+  // subtree, and through parent refs the whole dead tree, reachable.
   private val nodes     = new Array[FibaNode[V]](64)
   private val idxs      = new Array[Int](64)
   private val neighbors = new Array[FibaNode[V]](64)
@@ -57,7 +57,11 @@ trait FibaBulkEvictOps[V] { self: FibaBase[V] =>
       return
     }
 
-    passUp(searchBoundary(t))
+    val depth = searchBoundary(t)
+    passUp(depth)
+    FibaNode.nullOut(nodes, 0, depth)
+    FibaNode.nullOut(neighbors, 0, depth)
+    FibaNode.nullOut(ancestors, 0, depth)
   }
 
   /** Step 1: the eviction boundary search. Fills the scratch arrays with

@@ -8,7 +8,8 @@ package repro.core.fiba
   * = MAX_ARITY-1 slots, the most entries a node may keep, and `values`
   * one more: slot `cap` holds `agg`. A non-leaf node's `n + 1` children
   * sit in the first slots of `children` (capacity `cap + 1` = MAX_ARITY);
-  * a leaf has no children array. Reference slots past the count are
+  * a leaf has no children array. Nodes are never reused, so a node is a
+  * leaf or a non-leaf for life. Reference slots past the count are
   * always null, so a node never pins evicted values or subtrees, and a
   * node never overflows: an insert that would overflow it merges in the
   * tree's scratch area and splits from there (`FibaBulkInsertOps`).
@@ -21,7 +22,7 @@ package repro.core.fiba
 final class FibaNode[V](leaf: Boolean, cap: Int, lane: Lane[V]) {
   val times: Array[Long]           = new Array[Long](cap)
   val values: AnyRef               = lane.newStore(cap + 1)
-  var children: Array[FibaNode[V]] = if (leaf) null else new Array[FibaNode[V]](cap + 1)
+  val children: Array[FibaNode[V]] = if (leaf) null else new Array[FibaNode[V]](cap + 1)
   var n = 0
   var parent: FibaNode[V] = null
   var leftSpine  = false
@@ -116,15 +117,6 @@ final class FibaNode[V](leaf: Boolean, cap: Int, lane: Lane[V]) {
       while (i <= count) { children(i).parent = this; i += 1 }
     }
     n = count
-  }
-
-  /** Reset to a blank node of the given kind, for reuse from the free list. */
-  def reset(leaf: Boolean): Unit = {
-    clear()
-    if (leaf) children = null
-    else if (children == null) children = new Array[FibaNode[V]](times.length + 1)
-    parent = null; leftSpine = false; rightSpine = false
-    lane.release(values, times.length, times.length + 1) // agg
   }
 
   override def toString: String = {

@@ -7,9 +7,11 @@ import repro.core.{Monoid, Swag}
   * insertion (§5, `FibaBulkInsertOps`, which is also single insert: §6's
   * small insertion in place, and a full leaf's split through §5's pass
   * up).
+  * Nodes are allocated fresh, and the JVM collector is §6's deferred free
+  * list: a bulk evict unlinks each evicted subtree in O(1).
   * `useFreeList = false` reproduces the paper's "nofl" memory-management
-  * ablation (Fig 10): evicted subtrees are reclaimed eagerly, costing
-  * O(m) per bulk evict instead of O(log m).
+  * ablation (Fig 10): evicted subtrees are walked and cleared eagerly,
+  * costing O(m) per bulk evict instead of O(log m).
   */
 final class FibaTree[V](minArity0: Int, monoid0: Monoid[V], useFreeList0: Boolean = true)
     extends FibaBase[V](minArity0, monoid0, useFreeList0)

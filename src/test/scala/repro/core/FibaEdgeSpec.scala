@@ -8,7 +8,8 @@ import repro.core.fiba.{BFiba, FibaTree}
 
 /** Targeted FiBA scenarios beyond the randomized property tests: tree
   * growth/shrink transitions, right-spine eviction (root replacement),
-  * massive single-bulk inserts, free-list reuse, and API edges.
+  * massive single-bulk inserts, reclamation of evicted nodes, and API
+  * edges.
   */
 class FibaEdgeSpec extends AnyFunSuite {
 
@@ -173,20 +174,41 @@ class FibaEdgeSpec extends AnyFunSuite {
     assert(t.sizeByTraversal == 9999)
   }
 
-  test("free-list reuse: slide long enough to cycle the pool, results exact") {
-    val withPool = new BFiba[Vector[Long]](2, ConcatM, useFreeList = true)
-    val noPool = new BFiba[Vector[Long]](2, ConcatM, useFreeList = false)
+  test("deferred and eager (nofl) reclamation agree over a long slide") {
+    val deferred = new BFiba[Vector[Long]](2, ConcatM, useFreeList = true)
+    val eager = new BFiba[Vector[Long]](2, ConcatM, useFreeList = false)
     var t = 0L
     for (round <- 1 to 200) {
       val m = 1 + round % 40
       val batch = (1 to m).map { k => (t + k, Vector(t + k)) }
       t += m
-      withPool.bulkInsert(batch); noPool.bulkInsert(batch)
-      withPool.bulkEvict(t - 100); noPool.bulkEvict(t - 100)
-      assert(withPool.query() == noPool.query(), s"round=$round")
+      deferred.bulkInsert(batch); eager.bulkInsert(batch)
+      deferred.bulkEvict(t - 100); eager.bulkEvict(t - 100)
+      assert(deferred.query() == eager.query(), s"round=$round")
     }
-    withPool.underlying.validate()
-    noPool.underlying.validate()
+    deferred.underlying.validate()
+    eager.underlying.validate()
+  }
+
+  test("a completely evicted window becomes garbage: the old root's store is collected") {
+    // Nodes are never pooled, so nothing but the tree may reach an evicted
+    // subtree; the evict's scratch arrays included.
+    def released[V](minArity: Int, m: Monoid[V], of: Long => V): Boolean = {
+      val n = 1L << 16
+      val t = new FibaTree[V](minArity, m)
+      t.bulkInsertPairs((1L to n).map(i => (i, of(i))))
+      val oldRoot = new java.lang.ref.WeakReference[AnyRef](t.rootValues)
+      t.bulkEvictNative(n)
+      t.insertOne(n + 1, of(n + 1))
+      t.validate()
+      var tries = 0
+      while (oldRoot.get != null && tries < 20) { System.gc(); Thread.sleep(10); tries += 1 }
+      oldRoot.get == null
+    }
+    for (minArity <- Seq(2, 4, 8)) {
+      assert(released(minArity, SumD, _.toDouble), s"packed lane, minArity=$minArity")
+      assert(released(minArity, ConcatM, Vector(_)), s"reference lane, minArity=$minArity")
+    }
   }
 
   test("toEntries round-trips through bulkInsert into an empty tree") {
