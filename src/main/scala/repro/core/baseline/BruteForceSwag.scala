@@ -41,7 +41,7 @@ final class BruteForceSwag[V](val monoid: Monoid[V]) extends Swag[V] {
   def evict(): Unit = if (times.nonEmpty) { times.remove(0); values.remove(0) }
 
   override def bulkEvict(t: Long): Unit = {
-    val i = lowerBound(t + 1)
+    val i = times.segmentLength(_ <= t)
     times.remove(0, i); values.remove(0, i)
   }
 

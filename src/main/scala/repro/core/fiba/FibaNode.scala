@@ -38,17 +38,21 @@ final class FibaNode[V](leaf: Boolean, cap: Int, lane: Lane[V]) {
   def lastChild: FibaNode[V] = children(n)
 
   /** Index of the first entry with time >= t (t's lower bound). */
-  def lowerBound(t: Long): Int = {
+  def lowerBound(t: Long): Int = firstAbove(t, orEqual = true)
+
+  /** Number of entries with time <= t (the local eviction count): the
+    * index of the first entry > t.
+    */
+  def evictCount(t: Long): Int = firstAbove(t, orEqual = false)
+
+  private def firstAbove(t: Long, orEqual: Boolean): Int = {
     var lo = 0; var hi = n
     while (lo < hi) {
       val mid = (lo + hi) >>> 1
-      if (times(mid) < t) lo = mid + 1 else hi = mid
+      if (times(mid) < t || !orEqual && times(mid) == t) lo = mid + 1 else hi = mid
     }
     lo
   }
-
-  /** Number of entries with time <= t (the local eviction count). */
-  def evictCount(t: Long): Int = lowerBound(t + 1)
 
   /** Slot of child `c` (by identity), or -1. */
   def childSlot(c: FibaNode[V]): Int = {

@@ -152,6 +152,53 @@ class FibaEdgeSpec extends AnyFunSuite {
     fiba.underlying.validate()
   }
 
+  test("bulkEvict(Long.MaxValue) empties the window") {
+    def emptied[V](minArity: Int, enc: Enc[V]): Boolean = {
+      val t = new FibaTree[V](minArity, enc.monoid)
+      for (i <- 1L to 100L) t.insertOne(i, enc.of(i))
+      t.bulkEvictNative(Long.MaxValue)
+      t.validate()
+      t.isEmpty && t.sizeByTraversal == 0
+    }
+    for (minArity <- Seq(2, 4, 8)) {
+      assert(emptied(minArity, concatEnc), s"reference lane, minArity=$minArity")
+      assert(emptied(minArity, countEnc), s"packed lane, minArity=$minArity")
+    }
+  }
+
+  test("bulks at the extreme timestamps stay valid and match the brute-force reference") {
+    // The run of a leaf with no upper bound must take an entry at
+    // Long.MaxValue, and an entry at Long.MinValue must still reach the
+    // left finger when the finger search's distance arithmetic overflows.
+    def check[V](minArity: Int, enc: Enc[V]): Unit = {
+      val ctx = s"minArity=$minArity ${enc.monoid.name}"
+      val fiba = new BFiba[V](minArity, enc.monoid)
+      val ref = new BruteForceSwag[V](enc.monoid)
+      def bulk(ts: Seq[Long]): Unit = {
+        val times = ts.toArray
+        val values = ts.map(enc.of(_).asInstanceOf[AnyRef]).toArray.asInstanceOf[Array[V]]
+        fiba.bulkInsert(times, values, 0, times.length)
+        ref.bulkInsert(times, values, 0, times.length)
+        fiba.underlying.validate()
+        assert(fiba.query() == ref.query(), ctx)
+        assert(fiba.snapshot() == ref.snapshot(), ctx)
+      }
+      // into an empty window, then an in-order bulk that splits the right finger
+      bulk((1L to 63L) :+ Long.MaxValue)
+      fiba.bulkEvict(Long.MaxValue); ref.bulkEvict(Long.MaxValue)
+      assert(fiba.isEmpty && ref.isEmpty, ctx)
+      bulk((1000L until 1300L).map(_ * 2))
+      bulk((2600L until 2663L) :+ Long.MaxValue)
+      // out of order into the multi-level window, colliding with existing
+      // entries on the way, from Long.MinValue up to Long.MaxValue
+      bulk(Long.MinValue +: (1500L until 2700L by 13) :+ Long.MaxValue)
+      fiba.bulkEvict(Long.MaxValue - 1); ref.bulkEvict(Long.MaxValue - 1)
+      assert(fiba.size == 1 && fiba.query() == ref.query(), ctx)
+      fiba.underlying.validate()
+    }
+    for (minArity <- Seq(2, 4, 8)) { check(minArity, concatEnc); check(minArity, countEnc) }
+  }
+
   test("one giant bulk insert builds a valid multi-level tree") {
     for (minArity <- Seq(2, 8)) {
       val t = new FibaTree[Vector[Long]](minArity, ConcatM)
@@ -310,6 +357,45 @@ class FibaEdgeSpec extends AnyFunSuite {
       assert(perInsert <= insertCap, s"minArity=$minArity insert")
       assert(perEvict <= evictCap, s"minArity=$minArity evict")
       assert(perBulkEvict <= bulkEvictCap, s"minArity=$minArity bulkEvict")
+    }
+  }
+
+  test("an out-of-order bulk round keeps its combine counts") {
+    // The round of the ooo_bulk benchmark at n = 2^16, m = 1024, d = 2^12:
+    // evict the 2m oldest, insert m in order at the top, then m late
+    // entries whose youngest has d entries above it. The loop reads
+    // 1.246 / 2.493 combines per in-order / late entry at minArity 4 and
+    // 1.189 / 2.350 at minArity 8. Each cap sits about 5% above, and the
+    // AnyRef and Long lanes must read identical counts.
+    for ((minArity, inOrderCap, lateCap) <- Seq((4, 1.31, 2.62), (8, 1.25, 2.47))) {
+      val (perInOrder, perLate) = bothLanes { counting =>
+        val (n, m, d) = (1 << 16, 1024, 1 << 12)
+        val t = new FibaTree[Long](minArity, counting)
+        // full below the late frontier, even slots above it
+        val prefill = Iterator.iterate(0L)(x => x + (if (x < n - d) 1 else 2)).take(n).toArray
+        t.bulkInsertNative(prefill, prefill, 0, n)
+        var sum = prefill.sum
+        def counted(op: => Unit): Long = { counting.combines = 0; op; counting.combines }
+        val rounds = 64
+        var inOrder, late = 0L
+        for (r <- 0 until rounds) {
+          val lo = r * 2L * m
+          val top = n + d + lo
+          t.bulkEvictNative(lo + 2 * m - 1)
+          sum -= (lo until lo + 2 * m).sum
+          val bulk = Array.tabulate(m)(top + 2L * _)
+          val lateBulk = Array.tabulate(m)(top - 2L * d + 2L * _ + 1)
+          inOrder += counted(t.bulkInsertNative(bulk, bulk, 0, m))
+          late += counted(t.bulkInsertNative(lateBulk, lateBulk, 0, m))
+          sum += bulk.sum + lateBulk.sum
+        }
+        t.validate()
+        assert(t.sizeByTraversal == n && t.queryAgg() == sum)
+        (inOrder.toDouble / (rounds * m), late.toDouble / (rounds * m))
+      }
+      info(f"minArity=$minArity: $perInOrder%.3f per in-order entry, $perLate%.3f per late entry")
+      assert(perInOrder <= inOrderCap, s"minArity=$minArity in-order")
+      assert(perLate <= lateCap, s"minArity=$minArity late")
     }
   }
 

@@ -10,8 +10,10 @@ parent first on odd seeds and the change first on even ones, so a drift of
 the host over time does not favour one side. Every run's result line is
 appended to --out as it finishes (JSON lines), so an interrupted series
 keeps what it measured. At the end, and with --summarize, it prints for
-each metric the median and quartiles of both sides, the median change,
-and in how many pairs the change was better (BENCHMARK.json's `better`).
+each metric the median, quartiles and min-max of both sides, the median
+change, and in how many pairs the change was better (BENCHMARK.json's
+`better`). An end-to-end metric whose change median is worse than the
+parent's by more than its BENCHMARK.json `bound` is flagged OUT OF BOUND.
 """
 import argparse
 import json
@@ -42,9 +44,11 @@ def run_once(checkout, workload, seed, seconds, trace):
 
 
 def directions(checkout):
+    """Each metric's `better` direction, and each end-to-end metric's `bound`."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] for sec in ("end_to_end", "per_layer") for m in spec[sec]}
+    better = {m["name"]: m["better"] for sec in ("end_to_end", "per_layer") for m in spec[sec]}
+    return better, {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
 def quartiles(xs):
@@ -54,7 +58,7 @@ def quartiles(xs):
     return q[0], q[2]
 
 
-def summarize(records, better):
+def summarize(records, better, bounds):
     """Prints one line per (workload, trace, metric) over complete pairs."""
     groups = {}
     for r in records:
@@ -76,8 +80,12 @@ def summarize(records, better):
             pm, cm = statistics.median(par), statistics.median(chg)
             (pq1, pq3), (cq1, cq3) = quartiles(par), quartiles(chg)
             rel = f"{100 * (cm - pm) / pm:+.1f}%" if pm else "n/a"
-            print(f"   {name:<36} parent {pm:.6g} [{pq1:.6g}, {pq3:.6g}]  change {cm:.6g} [{cq1:.6g}, {cq3:.6g}]"
-                  f"  {rel}  change better {wins}/{len(ps)}")
+            flag = ""
+            if name in bounds and pm and -sign * (cm - pm) / pm > bounds[name]:
+                flag = f"  OUT OF BOUND (worse by more than {100 * bounds[name]:g}%)"
+            print(f"   {name:<36} parent {pm:.6g} [{pq1:.6g}, {pq3:.6g}] ({min(par):.6g}-{max(par):.6g})"
+                  f"  change {cm:.6g} [{cq1:.6g}, {cq3:.6g}] ({min(chg):.6g}-{max(chg):.6g})"
+                  f"  {rel}  change better {wins}/{len(ps)}{flag}")
 
 
 def main():
@@ -91,10 +99,10 @@ def main():
     p.add_argument("--out", help="JSON-lines file the runs are appended to")
     p.add_argument("--summarize", metavar="FILE", help="only summarize the runs recorded in FILE")
     args = p.parse_args()
-    better = directions(args.change)
+    better, bounds = directions(args.change)
     if args.summarize:
         with open(args.summarize) as fh:
-            summarize([json.loads(line) for line in fh if line.strip()], better)
+            summarize([json.loads(line) for line in fh if line.strip()], better, bounds)
         return 0
     if not (args.parent and args.workload):
         p.error("--parent and --workload are required unless --summarize is given")
@@ -113,7 +121,7 @@ def main():
                     fh.write(json.dumps(rec) + "\n")
             vals = ", ".join(f"{k} {m['value']:.6g}" for k, m in rec["metrics"].items())
             print(f"seed {seed} {side}: correct {res['correct']}, {vals}", flush=True)
-    summarize(records, better)
+    summarize(records, better, bounds)
     return 0
 
 
