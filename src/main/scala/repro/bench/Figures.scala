@@ -192,7 +192,8 @@ object Figures {
 
   /** Figure 17: Structured Streaming throughput at window 8192 for the
     * stateful operators and Spark's built-in sliding window, per
-    * micro-batch size m; cells are keyed by (algo or "builtin", m).
+    * micro-batch size m; cells are keyed by (algo, "b_fiba4_durable" or
+    * "builtin", m).
     */
   def fig17(spark: SparkSession): Table[Map[(String, Int), Double]] = {
     val windowLen = 8192L
@@ -205,6 +206,10 @@ object Figures {
         cells += (algo, m) -> thr
         rows += Seq(s"${algo}_state", m.toString, fmtThroughput(thr))
       }
+      // The same operator with its delta log written every batch (durable).
+      val thrD = StreamingBench.runStateful(spark, "b_fiba4", windowLen, m, events, fullState = true)
+      cells += ("b_fiba4_durable", m) -> thrD
+      rows += Seq("b_fiba4_durable_state", m.toString, fmtThroughput(thrD))
       // Built-in sliding window: coarse 256s slide (handicap in its favor)
       // and a small event budget — it is orders of magnitude slower.
       val thrB = StreamingBench.runBuiltin(spark, windowLen, 256L, m, math.max(2L * m, 1024L))

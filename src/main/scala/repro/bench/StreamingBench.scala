@@ -13,12 +13,16 @@ import repro.streaming.{BaselineStreaming, Event, FibaStreaming}
   */
 object StreamingBench {
 
-  /** Stateful FiBA (or recompute-baseline) operator throughput. */
+  private val Hdfs = "org.apache.spark.sql.execution.streaming.state.HDFSBackedStateStoreProvider" // Spark's default
+
+  /** Stateful FiBA (or recompute-baseline) operator throughput;
+    * `fullState` also logs each batch's deltas, as a durable query does.
+    */
   def runStateful(spark: SparkSession, algoName: String, windowLen: Long,
-                  m: Int, totalEvents: Long): Double = {
+                  m: Int, totalEvents: Long, fullState: Boolean = false): Double = {
     val runId = java.util.UUID.randomUUID().toString
-    try drive(spark, windowLen, m, totalEvents)(
-      FibaStreaming.aggregate(_, windowLen, algoName, "sum", runId, fullState = false))
+    try drive(spark, windowLen, m, totalEvents, FibaStreaming.RocksDbProvider)(
+      FibaStreaming.aggregate(_, windowLen, algoName, "sum", runId, fullState))
     finally FibaStreaming.clearCache(runId)
   }
 
@@ -28,22 +32,25 @@ object StreamingBench {
     */
   def runBuiltin(spark: SparkSession, windowLen: Long, slide: Long,
                  m: Int, totalEvents: Long): Double =
-    drive(spark, windowLen, m, totalEvents)(BaselineStreaming.builtinSliding(_, windowLen, slide))
+    drive(spark, windowLen, m, totalEvents, Hdfs)(BaselineStreaming.builtinSliding(_, windowLen, slide))
 
-  /** Runs `query` over a memory stream: an untimed prefill of one window,
-    * then `totalEvents` in batches of m; returns timed events/s.
+  /** Runs `query` over a memory stream on the given state-store provider:
+    * an untimed prefill of one window, then `totalEvents` in batches of m;
+    * returns timed events/s.
     */
-  private def drive(spark: SparkSession, windowLen: Long, m: Int, totalEvents: Long)(
+  private def drive(spark: SparkSession, windowLen: Long, m: Int, totalEvents: Long, provider: String)(
       query: Dataset[Event] => Dataset[_]): Double = {
     import spark.implicits._
     implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
     val input = MemoryStream[Event]
     val qn = "fig17_" + java.util.UUID.randomUUID().toString.replace("-", "").take(12)
+    // Both are captured at query start; the session gets its values back.
+    val pinned = Seq("spark.sql.shuffle.partitions" -> "4", FibaStreaming.ProviderConf -> provider)
+    val saved = pinned.map { case (k, _) => k -> spark.conf.getOption(k) }
     val out = query(input.toDS())
-    val prevParts = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "4") // captured at query start
+    pinned.foreach { case (k, v) => spark.conf.set(k, v) }
     val q = out.writeStream.format("memory").queryName(qn).outputMode("update").start()
-    spark.conf.set("spark.sql.shuffle.partitions", prevParts)
+    saved.foreach { case (k, v) => v.fold(spark.conf.unset(k))(spark.conf.set(k, _)) }
     try {
       var t = 0L
       def sendBatch(size: Int): Unit = {

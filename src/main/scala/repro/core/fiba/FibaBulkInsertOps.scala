@@ -373,7 +373,10 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
     if (!root.isLeaf) {
       val lo = leftFinger.firstTime
       val hi = rightFinger.lastTime
-      if (t - lo >= hi - t) { // nearer the young end: ascend from the right finger
+      // t - lo and hi - t are exact as unsigned values once lo < t < hi;
+      // as signed ones they overflow for t far outside the window
+      val nearYoung = t > lo && (t >= hi || java.lang.Long.compareUnsigned(t - lo, hi - t) >= 0)
+      if (nearYoung) { // nearer the young end: ascend from the right finger
         node = rightFinger
         while ((node ne root) && t <= node.parent.lastTime) { node = node.parent; level += 1 }
       } else { // nearer the old end: ascend from the left finger
@@ -384,6 +387,14 @@ trait FibaBulkInsertOps[V] { self: FibaBase[V] =>
     }
     searchTopLevel = level
     node
+  }
+
+  /** Height [[fingerSearchTop]] climbs to for t, and the finger it stops
+    * at: 'L', 'R', or '-' for a node above both; for tests.
+    */
+  private[core] final def fingerSearchStop(t: Long): (Int, Char) = {
+    val node = fingerSearchTop(t)
+    (searchTopLevel, if (node eq leftFinger) 'L' else if (node eq rightFinger) 'R' else '-')
   }
 
   /** Climb from `from` (at height `fromLevel`) to the lowest node whose

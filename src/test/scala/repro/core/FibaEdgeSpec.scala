@@ -199,6 +199,21 @@ class FibaEdgeSpec extends AnyFunSuite {
     for (minArity <- Seq(2, 4, 8)) { check(minArity, concatEnc); check(minArity, countEnc) }
   }
 
+  test("a finger search for a timestamp far outside the window starts at the nearer finger") {
+    // t - lo and hi - t overflow at Long.MinValue / Long.MaxValue; the
+    // search must still stop at the finger next to t, not climb to the root.
+    for (minArity <- Seq(2, 4, 8)) {
+      val up = new FibaTree[Long](minArity, CountL)
+      up.bulkInsertPairs((1000L to 5000L).map(t => (t, 1L)))
+      val down = new FibaTree[Long](minArity, CountL)
+      down.bulkInsertPairs((-5000L to -1000L).map(t => (t, 1L)))
+      // a timestamp mid-window climbs several levels: the window is deep
+      for (t <- Seq(up, down)) assert(t.fingerSearchStop(t.oldestTime + 2000)._1 >= 2, s"minArity=$minArity")
+      assert(up.fingerSearchStop(Long.MinValue) == ((0, 'L')), s"minArity=$minArity")
+      assert(down.fingerSearchStop(Long.MaxValue) == ((0, 'R')), s"minArity=$minArity")
+    }
+  }
+
   test("one giant bulk insert builds a valid multi-level tree") {
     for (minArity <- Seq(2, 8)) {
       val t = new FibaTree[Vector[Long]](minArity, ConcatM)

@@ -1,20 +1,29 @@
 package repro.streaming
 
+import java.util.concurrent.ConcurrentHashMap
+import java.util.concurrent.atomic.AtomicBoolean
+import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
-import org.apache.spark.sql.streaming.StreamingQuery
+import org.apache.spark.sql.streaming.{StreamingQuery, StreamingQueryException, StreamingQueryProgress}
 import repro.{Oracle, SparkSpec}
+import repro.core.Monoids.SumD
+import repro.core.baseline.BruteForceSwag
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
-/** The Structured Streaming stateful operator (flatMapGroupsWithState +
+/** The Structured Streaming stateful operator (transformWithState +
   * FiBA, per the repro plan): correctness against DuckDB, parity between
   * the bulk / non-bulk / recompute state algorithms, out-of-order and
-  * multi-key behavior, and recovery from the checkpointed snapshot.
+  * multi-key behavior, recovery from the checkpointed delta log, a
+  * replayed batch applied once, and a log that stays bounded under late
+  * data.
   */
 class FibaStreamingSpec extends SparkSpec {
 
   private def runStream(algo: String, windowLen: Long, batches: Seq[Seq[Event]],
                         fullState: Boolean = true,
-                        dropCacheBetweenBatches: Boolean = false): Seq[WindowAgg] = {
+                        dropCacheBetweenBatches: Boolean = false,
+                        onProgress: Seq[StreamingQueryProgress] => Unit = _ => ()): Seq[WindowAgg] = {
     import spark.implicits._
     implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
     val input = MemoryStream[Event]
@@ -29,6 +38,7 @@ class FibaStreamingSpec extends SparkSpec {
         input.addData(b)
         q.processAllAvailable()
       }
+      onProgress(q.recentProgress.toSeq)
       spark.table(qn).as[WindowAgg].collect().toSeq
     } finally {
       if (q != null) q.stop()
@@ -52,12 +62,26 @@ class FibaStreamingSpec extends SparkSpec {
     }
   }
 
-  test("windowed aggregate matches DuckDB on the final watermark (per key)") {
+  /** Each batch's rows as the brute-force reference computes them: one
+    * window per key in the batch, at the key's watermark (its newest time).
+    */
+  private def reference(batches: Seq[Seq[Event]], windowLen: Long): Map[Long, Set[WindowAgg]] = {
+    val refs = scala.collection.mutable.Map.empty[Long, (BruteForceSwag[Double], Long)]
+    batches.zipWithIndex.map { case (b, i) =>
+      i.toLong -> b.groupBy(_.key).map { case (k, es) =>
+        val (ref, prevWm) = refs.getOrElse(k, (new BruteForceSwag[Double](SumD), Long.MinValue))
+        es.foreach(e => ref.insert(e.time, e.value))
+        val wm = math.max(prevWm, es.map(_.time).max)
+        refs(k) = (ref, wm)
+        ref.bulkEvict(wm - windowLen)
+        WindowAgg(k, wm, ref.query())
+      }.toSet
+    }.toMap
+  }
+
+  /** Each key's final window equals DuckDB's sum over the events inside it. */
+  private def assertFinalsMatchDuckDb(rows: Seq[WindowAgg], events: Seq[Event], windowLen: Long): Unit = {
     import spark.implicits._
-    val windowLen = 300L
-    val batches = mkBatches(nBatches = 8, perBatch = 100, keys = 4, ooo = true, seed = 11)
-    val rows = runStream("b_fiba4", windowLen, batches)
-    val events = batches.flatten
     val eventsDf = events.toDF()
     val finals = finalAggs(rows)
     // per-key watermark = max time seen for that key
@@ -73,6 +97,12 @@ class FibaStreamingSpec extends SparkSpec {
          |GROUP BY 1""".stripMargin,
       "events" -> eventsDf.selectExpr("CAST(key AS BIGINT) key", "CAST(time AS BIGINT) time", "CAST(value AS DOUBLE) value"),
       "wms" -> wmDf.selectExpr("CAST(key AS BIGINT) key", "CAST(wm AS BIGINT) wm"))
+  }
+
+  test("windowed aggregate matches DuckDB on the final watermark (per key)") {
+    val windowLen = 300L
+    val batches = mkBatches(nBatches = 8, perBatch = 100, keys = 4, ooo = true, seed = 11)
+    assertFinalsMatchDuckDb(runStream("b_fiba4", windowLen, batches), batches.flatten, windowLen)
   }
 
   test("bulk, non-bulk, and recompute state algorithms emit identical results") {
@@ -97,6 +127,101 @@ class FibaStreamingSpec extends SparkSpec {
       .sortBy(r => (r.key, r.watermark))
     assert(warm.map(r => (r.key, r.watermark)) == cold.map(r => (r.key, r.watermark)))
     warm.zip(cold).foreach { case (x, y) => assert(math.abs(x.agg - y.agg) < 1e-6, s"$x vs $y") }
+  }
+
+  /** Runs `batches` through a durable b_fiba4 sum query with a real
+    * checkpoint and a `foreachBatch` sink. At `failAt` the sink throws
+    * once, after the batch's state has been committed; the query is then
+    * restarted from the checkpoint with the same `runId`, so Spark re-runs
+    * that batch against the cached trees. After batch `restartAfter` the
+    * query is stopped, the cache dropped, and the query restarted. Returns
+    * each batch id's rows as the sink last saw them.
+    */
+  private def runCheckpointed(batches: Seq[Seq[Event]], windowLen: Long, failAt: Option[Long] = None,
+                              restartAfter: Option[Int] = None): Map[Long, Set[WindowAgg]] = {
+    import spark.implicits._
+    implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
+    val input = MemoryStream[Event]
+    val runId = java.util.UUID.randomUUID().toString
+    val dir = java.nio.file.Files.createTempDirectory("fiba-checkpoint").toFile
+    val seen = new ConcurrentHashMap[Long, Set[WindowAgg]]()
+    val armed = new AtomicBoolean(failAt.isDefined)
+    val sink: (Dataset[WindowAgg], Long) => Unit = (ds, id) => {
+      val rows = ds.collect().toSet
+      if (failAt.contains(id) && armed.getAndSet(false)) throw new IllegalStateException(s"sink fails once, at batch $id")
+      seen.put(id, rows)
+    }
+    def start(): StreamingQuery =
+      FibaStreaming.aggregate(input.toDS(), windowLen, "b_fiba4", "sum", runId, fullState = true)
+        .writeStream.outputMode("update").option("checkpointLocation", dir.getAbsolutePath)
+        .foreachBatch(sink).start()
+    var q = start()
+    try {
+      for ((b, i) <- batches.zipWithIndex) {
+        input.addData(b)
+        try q.processAllAvailable()
+        catch { case _: StreamingQueryException => q = start(); q.processAllAvailable() }
+        if (restartAfter.contains(i)) { q.stop(); FibaStreaming.clearCache(runId); q = start() }
+      }
+      assert(!armed.get, "the sink never failed")
+      seen.asScala.toMap
+    } finally {
+      q.stop()
+      FibaStreaming.clearCache(runId)
+      org.apache.commons.io.FileUtils.deleteQuietly(dir)
+    }
+  }
+
+  test("a batch re-run after a sink failure is applied once") {
+    // one key, 10 events of value 1.0 per batch; the sink fails at batch 2
+    val windowLen = 40L
+    val batches = (0 until 5).map(b => (0 until 10).map(j => Event(0, 10L * b + j, 1.0)))
+    val got = runCheckpointed(batches, windowLen, failAt = Some(2L))
+    assert(got(2L) == Set(WindowAgg(0, 29, 30.0)) && got(3L) == Set(WindowAgg(0, 39, 40.0)), got)
+    assert(got == reference(batches, windowLen))
+  }
+
+  test("a restart mid-stream with the cache dropped rebuilds every key from its log") {
+    val windowLen = 250L
+    val batches = mkBatches(nBatches = 8, perBatch = 60, keys = 3, ooo = true, seed = 37)
+    val got = runCheckpointed(batches, windowLen, restartAfter = Some(3))
+    assert(got == reference(batches, windowLen))
+    val last = batches.indices.map(i => got(i.toLong)).flatten
+    assertFinalsMatchDuckDb(last, batches.flatten, windowLen)
+  }
+
+  test("late data: the delta log compacts, results stay exact and state rows stay bounded") {
+    // A window-long prefill, then per key and batch: 10 in-order seconds
+    // and 30 late events, a fifth of them beyond the window. A delta lives
+    // until the cut passes its newest entry, 40 batches (400 s / 10 s),
+    // while its late entries age out, so without compaction a key would
+    // hold 40 deltas: more than the bound of 2 * 400 / 40 + 2.
+    val windowLen = 400L
+    val keys = 2
+    val fresh = 10
+    val late = 30
+    val rnd = new Random(41)
+    val prefill = (0 until keys).flatMap(k => (1L to windowLen).map(t => Event(k, t, (t % 89).toDouble)))
+    val batches = prefill +: (1 to 60).map { b =>
+      val t0 = windowLen + (b - 1).toLong * fresh
+      (0 until keys).flatMap { k =>
+        val inOrder = (1 to fresh).map(j => Event(k, t0 + j, ((t0 + j) % 89).toDouble))
+        val lateEs = (1 to late).map { _ =>
+          val t = t0 - rnd.nextInt(windowLen.toInt + windowLen.toInt / 4)
+          Event(k, t, (t % 13).toDouble)
+        }
+        rnd.shuffle(inOrder ++ lateEs)
+      }
+    }
+    var maxRows = 0L
+    val rows = runStream("b_fiba4", windowLen, batches, onProgress = ps =>
+      maxRows = ps.flatMap(_.stateOperators.headOption.map(_.numRowsTotal)).max)
+    val byBatch = rows.groupBy(_.watermark).map { case (wm, rs) => wm -> rs.toSet }
+    val expected = reference(batches, windowLen).values.map(rs => rs.head.watermark -> rs).toMap
+    assert(byBatch == expected)
+    assertFinalsMatchDuckDb(rows, batches.flatten, windowLen)
+    val bound = keys * (2 * windowLen / (fresh + late) + 2)
+    assert(maxRows > 0 && maxRows <= bound, s"state rows $maxRows, bound $bound")
   }
 
   test("late events beyond the window are admitted then evicted (no effect)") {
